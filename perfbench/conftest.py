@@ -1,0 +1,9 @@
+"""Make ``repro`` (under ``src/``) and ``perfbench`` importable in tests."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
