@@ -1,13 +1,14 @@
-"""Campaign THROUGHPUT — warm worker pool vs. per-experiment dispatch.
+"""Campaign THROUGHPUT — one run-long pool vs. per-experiment dispatch.
 
-The campaign runner's claim (docs/PERFORMANCE.md, "Campaign
-throughput") is that one pool of long-lived workers amortizes process
-startup, import cost and L2 attach across a whole grid of cells,
+A campaign run keeps one ``repro.perf.parallel.process_pool`` for all
+of its cells, paying process start and L2 attach once per worker,
 where the per-experiment path pays them once per ``run_experiment``
-call.  These benchmarks measure exactly that trade on the same grid:
+call (docs/PERFORMANCE.md, "Campaign throughput", records that the
+difference measured inside the spread).  These benchmarks measure
+that trade on the same grid:
 
-* ``test_campaign_warm_pool`` — the grid through ``run_campaign``
-  on a 4-worker :class:`repro.campaign.pool.WarmPool`;
+* ``test_campaign_warm_pool`` — the grid through ``run_campaign`` at
+  ``jobs=4``: one 4-worker process pool for the whole run;
 * ``test_campaign_per_experiment_dispatch`` — the same cells as a
   loop of ``run_experiment(..., jobs=4)`` calls, each building (and
   tearing down) its own process pool;

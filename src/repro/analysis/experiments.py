@@ -20,10 +20,9 @@ convention collided across adjacent experiment seeds) and starts from
 cleared congruence caches, so the returned rows are bit-identical for
 any ``jobs`` value, including the inline ``jobs=1`` reference path.
 
-Trial inputs travel as zero-copy shared-memory descriptors
-(:func:`repro.perf.blocks.packed_arrays`): each driver packs its
-pattern arrays into one segment up front, and the per-trial payload
-pickled through the pool is a few dozen bytes.
+Trial inputs travel pickled: every trial item carries its pattern
+points (a few kilobytes; pickling writes a pattern shared by the
+items of one chunk once).
 """
 
 from __future__ import annotations
@@ -68,14 +67,14 @@ def _spec_of(config: Configuration) -> str:
     return str(report.spec) if report.kind == "finite" else report.kind
 
 
-def _points_of(ref) -> list[np.ndarray]:
-    """Materialize an :class:`ArrayRef` as the usual list of points."""
-    return [np.array(row) for row in ref.load()]
+def _points_of(points) -> list[np.ndarray]:
+    """A trial item's pattern as a fresh list of float points."""
+    return [np.array(row, dtype=float) for row in points]
 
 
 def _lemma7_trial(payload):
-    ref, stream = payload
-    points = _points_of(ref)
+    pattern, stream = payload
+    points = _points_of(pattern)
     frames = random_frames(len(points), np.random.default_rng(stream))
     scheduler = FsyncScheduler(go_to_center_algorithm, frames)
     after = Configuration(scheduler.step(points))
@@ -91,14 +90,12 @@ def _lemma7_rows(trials: int = 10, seed: int = 0,
     frames and whether every outcome lies in ``ϱ(P)``.
     """
     from repro.perf import parallel_map, spawn_seeds
-    from repro.perf.blocks import packed_arrays
 
     streams = spawn_seeds(seed, len(GOC_POLYHEDRA) * trials)
     patterns = [named_pattern(name) for name in GOC_POLYHEDRA]
-    with packed_arrays(patterns) as refs:
-        items = [(refs[i], streams[i * trials + t])
-                 for i in range(len(GOC_POLYHEDRA)) for t in range(trials)]
-        specs = parallel_map(_lemma7_trial, items, jobs=jobs)
+    items = [(patterns[i], streams[i * trials + t])
+             for i in range(len(GOC_POLYHEDRA)) for t in range(trials)]
+    specs = parallel_map(_lemma7_trial, items, jobs=jobs)
     rows = []
     for row_index, name in enumerate(GOC_POLYHEDRA):
         rho = symmetricity(Configuration(named_pattern(name)))
@@ -135,8 +132,8 @@ def _theorem41_cases() -> list[tuple[str, list[np.ndarray]]]:
 
 
 def _theorem41_trial(payload):
-    ref, stream = payload
-    points = _points_of(ref)
+    pattern, stream = payload
+    points = _points_of(pattern)
     frames = random_frames(len(points), np.random.default_rng(stream))
     scheduler = FsyncScheduler(psi_sym, frames)
     result = scheduler.run(points, stop_condition=is_sym_terminal,
@@ -154,15 +151,13 @@ def _theorem41_rows(trials: int = 5, seed: int = 0,
                     jobs: int = 1) -> list[dict]:
     """``ψ_SYM`` terminates with ``γ(P') ∈ ϱ(P)`` within 7 steps."""
     from repro.perf import parallel_map, spawn_seeds
-    from repro.perf.blocks import packed_arrays
 
     cases = _theorem41_cases()
     streams = spawn_seeds(seed, len(cases) * trials)
-    with packed_arrays([points for _, points in cases]) as refs:
-        items = [(refs[case_index], streams[case_index * trials + t])
-                 for case_index in range(len(cases))
-                 for t in range(trials)]
-        trial_rows = parallel_map(_theorem41_trial, items, jobs=jobs)
+    items = [(cases[case_index][1], streams[case_index * trials + t])
+             for case_index in range(len(cases))
+             for t in range(trials)]
+    trial_rows = parallel_map(_theorem41_trial, items, jobs=jobs)
     rows = []
     for case_index, (name, points) in enumerate(cases):
         rho = symmetricity(Configuration(points))
@@ -246,9 +241,9 @@ class Theorem11Row:
 
 
 def _theorem11_instance_row(payload) -> Theorem11Row:
-    p_name, f_name, p_ref, f_ref, stream = payload
-    p_points = _points_of(p_ref)
-    f_points = _points_of(f_ref)
+    p_name, f_name, p_pattern, f_pattern, stream = payload
+    p_points = _points_of(p_pattern)
+    f_points = _points_of(f_pattern)
     # Three independent child streams, one per randomized probe, so
     # adding or skipping a probe never shifts another's draws.
     random_stream, worst_stream, bound_stream = stream.spawn(3)
@@ -284,19 +279,13 @@ def _theorem11_rows(seed: int = 0,
     pressure with symmetric frames — Lemma 2's invariant).
     """
     from repro.perf import parallel_map, spawn_seeds
-    from repro.perf.blocks import packed_arrays
 
     instances = _theorem11_instances()
     streams = spawn_seeds(seed, len(instances))
-    arrays = []
-    for _, p_points, _, f_points in instances:
-        arrays.append(p_points)
-        arrays.append(f_points)
-    with packed_arrays(arrays) as refs:
-        items = [(p_name, f_name, refs[2 * i], refs[2 * i + 1], streams[i])
-                 for i, (p_name, p_points, f_name, f_points)
-                 in enumerate(instances)]
-        return parallel_map(_theorem11_instance_row, items, jobs=jobs)
+    items = [(p_name, f_name, p_points, f_points, streams[i])
+             for i, (p_name, p_points, f_name, f_points)
+             in enumerate(instances)]
+    return parallel_map(_theorem11_instance_row, items, jobs=jobs)
 
 
 def _run_formation(p_points, f_points, frames,
@@ -347,9 +336,9 @@ _FIGURE1_TARGETS = ("octagon", "square_antiprism")
 
 
 def _figure1_trial(payload):
-    cube_ref, target_ref, stream = payload
-    cube = _points_of(cube_ref)
-    target = _points_of(target_ref)
+    cube_pattern, target_pattern, stream = payload
+    cube = _points_of(cube_pattern)
+    target = _points_of(target_pattern)
     frames = random_frames(len(cube), np.random.default_rng(stream))
     return _run_formation(cube, target, frames)
 
@@ -358,16 +347,14 @@ def _figure1_rows(trials: int = 5, seed: int = 0,
                   jobs: int = 1) -> list[dict]:
     """Figure 1 — cube to regular octagon / square antiprism."""
     from repro.perf import parallel_map, spawn_seeds
-    from repro.perf.blocks import packed_arrays
 
     cube = named_pattern("cube")
     streams = spawn_seeds(seed, len(_FIGURE1_TARGETS) * trials)
     targets = [named_pattern(name) for name in _FIGURE1_TARGETS]
-    with packed_arrays([cube] + targets) as refs:
-        items = [(refs[0], refs[1 + i], streams[i * trials + t])
-                 for i in range(len(_FIGURE1_TARGETS))
-                 for t in range(trials)]
-        outcomes = parallel_map(_figure1_trial, items, jobs=jobs)
+    items = [(cube, targets[i], streams[i * trials + t])
+             for i in range(len(_FIGURE1_TARGETS))
+             for t in range(trials)]
+    outcomes = parallel_map(_figure1_trial, items, jobs=jobs)
     rows = []
     for row_index, target_name in enumerate(_FIGURE1_TARGETS):
         target = named_pattern(target_name)

@@ -8,9 +8,9 @@ backend) — and this package runs that grid as one unit of work:
   pre-run deterministic spec record;
 * :mod:`repro.campaign.runner` executes the grid — resumable
   (completed digests are skipped), coalescing (equal digests run
-  once), largest-cell-first;
-* :mod:`repro.campaign.pool` is the persistent warm worker pool that
-  keeps the L2/L3 caches attached across cells;
+  once), largest-cell-first — on one process pool
+  (:func:`repro.perf.parallel.process_pool`) that keeps the L2 store
+  attached across the run's cells;
 * :mod:`repro.campaign.store` persists results (DuckDB with the
   ``campaign`` extra, canonical JSONL otherwise);
 * :mod:`repro.campaign.report` regenerates the paper tables from the

@@ -1,4 +1,4 @@
-"""The campaign runner: grid in, warm pool through, store out.
+"""The campaign runner: grid in, process pool through, store out.
 
 :func:`run_campaign` is the one entrypoint behind ``repro campaign
 run``.  Pipeline:
@@ -13,10 +13,23 @@ run``.  Pipeline:
    skipped (``campaign.cells.skipped``); nothing is recomputed.
 4. **Order** — pending cells sort largest-estimated-cost first
    (ties broken by digest) so the pool's tail stays short.
-5. **Execute** — inline for ``jobs=1`` (the byte-exact reference) or
-   on a :class:`repro.campaign.pool.WarmPool`; each completed cell is
-   persisted *immediately*, so an interrupted campaign resumes from
-   the last completed cell.
+5. **Execute** — every cell is one :func:`run_cell_task` through
+   :func:`repro.perf.parallel.worker_task`: inline for ``jobs=1`` (the
+   byte-exact reference) or on one :func:`repro.perf.parallel.
+   process_pool` that lives for the whole run, so the L2 store stays
+   warm across cells.  Each completed cell is persisted
+   *immediately*, so an interrupted campaign resumes from the last
+   completed cell.
+
+Determinism is inherited, not re-argued: every cell executes
+``run_experiment(name, spec)`` with ``jobs=1`` after an L1 reset, so
+its float noise cannot depend on which cells shared its worker; the
+L2 store is keyed by exact input bytes, so cross-cell reuse is
+unobservable in rows; and each pooled cell ships its metric delta
+back for the runner to merge, so campaign counters are identical for
+any pool width.  A cell that raises, or a worker that dies, fails the
+run with :class:`repro.errors.SimulationError`; cells persisted before
+that stay in the store.
 
 The store's canonical export is byte-identical across ``jobs``
 values and across interrupted-then-resumed vs. uninterrupted runs —
@@ -27,6 +40,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover — annotation-only import
+    from repro.api import ExperimentSpec
 
 from repro.campaign.spec import (
     CampaignSpec,
@@ -37,7 +54,7 @@ from repro.campaign.spec import (
 from repro.campaign.store import ResultsStore, open_store
 from repro.errors import ReproError
 
-__all__ = ["CampaignResult", "run_campaign"]
+__all__ = ["CampaignResult", "run_campaign", "run_cell_task"]
 
 
 @dataclass(frozen=True)
@@ -95,8 +112,8 @@ def run_campaign(spec: CampaignSpec | str | Path, *, jobs: int = 1,
                  store: ResultsStore | None = None) -> CampaignResult:
     """Run (or resume) a campaign; returns the run summary.
 
-    ``jobs=1`` executes cells inline; ``jobs>=2`` on a persistent
-    :class:`WarmPool`.  ``max_cells`` bounds how many cells this
+    ``jobs=1`` executes cells inline; ``jobs>=2`` on one process pool
+    for the whole run.  ``max_cells`` bounds how many cells this
     invocation executes (the resume tests use it to simulate an
     interrupted campaign).  ``fresh`` clears the store first.  An
     explicit ``store`` overrides ``store_path`` (the caller keeps
@@ -166,32 +183,63 @@ def run_campaign(spec: CampaignSpec | str | Path, *, jobs: int = 1,
             store.close()
 
 
+def run_cell_task(task: "tuple[str, str, ExperimentSpec]",
+                  ) -> tuple[dict, dict]:
+    """Execute one campaign cell ``(digest, experiment, spec)``.
+
+    Returns the deterministic store record and the journal payload
+    (phase rollups and performance counters — wall-clock lives only
+    here).  The pooled and inline paths both run it through
+    :func:`repro.perf.parallel.worker_task` after an L1 reset, so the
+    inline ``jobs=1`` path is the byte-exact reference.
+    """
+    from repro.api import run_experiment
+    from repro.campaign.store import build_cell_record
+
+    digest, experiment, spec = task
+    result = run_experiment(experiment, spec)
+    record = build_cell_record(digest, experiment, result)
+    journal = {
+        "kind": "cell-journal",
+        "digest": digest,
+        "experiment": experiment,
+        "phase_totals": result.manifest["timing"]["phases"],
+        "backend": dict(result.metrics.get("backend", {})),
+    }
+    return record, journal
+
+
 def _execute(pending: list[tuple], jobs: int, store: ResultsStore,
              reg) -> int:
-    """Run the pending cells, persisting each as it completes."""
-    from repro.campaign.pool import WarmPool, run_cell_task
+    """Run the pending cells, persisting each as it completes.
 
-    executed = 0
-    if not pending:
-        return executed
+    Pooled cells are submitted largest first and persisted in
+    completion order; everything is keyed by digest, never by arrival.
+    """
+    from concurrent.futures import as_completed
+
+    from repro.perf.parallel import process_pool, task_values, worker_task
+
+    def persist(digest: str, outcome: tuple) -> None:
+        ((record, journal),) = task_values(outcome,
+                                           f"campaign cell {digest}")
+        store.record_cell(record)
+        store.journal_event(journal)
+        reg.inc("campaign.cells.executed")
+
     tasks = [(digest, experiment, spec)
              for digest, experiment, spec, _cost in pending]
-    if jobs == 1:
+    if jobs == 1 or not tasks:
         # Inline: run_experiment's counters land on this registry
-        # directly — the returned delta must not be merged again
-        # (same rule as parallel_map's inline path).
+        # directly, so no delta is shipped to be merged again.
         for task in tasks:
-            record, journal, _delta = run_cell_task(task)
-            store.record_cell(record)
-            store.journal_event(journal)
-            reg.inc("campaign.cells.executed")
-            executed += 1
-        return executed
-    with WarmPool(jobs) as pool:
-        for outcome in pool.run(tasks):
-            store.record_cell(outcome.record)
-            store.journal_event(outcome.journal)
-            reg.merge(outcome.metrics_delta)
-            reg.inc("campaign.cells.executed")
-            executed += 1
-    return executed
+            persist(task[0], worker_task(run_cell_task, [task],
+                                         fresh_l1=True, ship_delta=False))
+        return len(tasks)
+    with process_pool(jobs) as pool:
+        digests = {pool.submit(worker_task, run_cell_task, [task],
+                               fresh_l1=True, ship_delta=True): task[0]
+                   for task in tasks}
+        for future in as_completed(digests):
+            persist(digests[future], future.result())
+    return len(tasks)

@@ -511,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
              "printed as `serving on HOST:PORT`)")
     serve.add_argument(
         "--workers", type=int, default=0,
-        help="warm worker processes for query evaluation (default 0 "
-             "= inline threads; >0 reuses the campaign pool with a "
-             "shared warm L2 store)")
+        help="worker processes for query evaluation (default 0 "
+             "= inline threads; >0 runs the process pool that trials "
+             "and campaign cells use, with a shared warm L2 store)")
     serve.add_argument(
         "--queue-depth", type=int, default=16,
         help="max in-flight queries before 429 backpressure "
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign",
         help="run a declarative experiment campaign (resumable, "
-             "warm-pool, results store)")
+             "pooled, results store)")
     campaign.add_argument("action",
                           choices=["run", "report", "export", "status"])
     campaign.add_argument(

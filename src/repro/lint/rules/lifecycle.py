@@ -24,12 +24,14 @@ a watched resource and lets it escape through its return value
 to the same standard as the raw ``SharedMemory`` call.  Attaching by
 name (no ``create=True``) is exempt — the creator owns the segment.
 
-A second check guards the warm pool's fork boundary: threads and
+A second check guards the process pool's fork boundary: threads and
 thread locks created on a pre-fork path (any function reachable from
-the parent-side methods of a ``*.pool`` module) are flagged, because
-a lock held by another thread at ``fork()`` time deadlocks the
-child.  Only ``multiprocessing`` primitives from the pool's own
-context are fork-safe there.
+the parent-side functions of a module that constructs a
+``ProcessPoolExecutor``) are flagged, because a lock held by another
+thread at ``fork()`` time deadlocks the child.  Only
+``multiprocessing`` primitives from the pool's own context are
+fork-safe there.  Functions named ``_worker*`` (the pool initializer)
+run post-fork in the child and are not roots.
 """
 
 from __future__ import annotations
@@ -55,6 +57,13 @@ _THREAD_CREATORS = frozenset({
     "threading.Condition", "threading.Event",
     "threading.Semaphore", "threading.BoundedSemaphore",
     "threading.Barrier",
+})
+
+#: Constructors whose first task forks the workers: a module calling
+#: one is a pool module, and its parent-side functions run pre-fork.
+_POOL_CREATORS = frozenset({
+    "concurrent.futures.ProcessPoolExecutor",
+    "concurrent.futures.process.ProcessPoolExecutor",
 })
 
 _MAX_FACTORY_ROUNDS = 10
@@ -194,12 +203,16 @@ class ResourceLifecycleRule(ProjectRule):
     # -- pre-fork thread primitives ------------------------------------
     def _prefork_threads(self, project: Project,
                          ) -> Iterable[Violation]:
+        pool_modules = set()
+        for summary, info in project.iter_functions():
+            for _, _, expr in info.ops:
+                for call in _iter_calls(expr):
+                    if project.resolve_ref(summary, info, call.ref) \
+                            in _POOL_CREATORS:
+                        pool_modules.add(summary.name)
         roots = []
-        for name in sorted(project.modules):
-            if not (name.endswith(".pool") or name == "pool"):
-                continue
-            summary = project.modules[name]
-            for qual in sorted(summary.functions):
+        for name in sorted(pool_modules):
+            for qual in sorted(project.modules[name].functions):
                 # Worker entry points run post-fork in the child;
                 # everything else in a pool module is parent-side.
                 leaf = qual.rsplit(".", 1)[-1]
@@ -228,7 +241,7 @@ class ResourceLifecycleRule(ProjectRule):
                         path=summary.path, line=call.line,
                         col=call.col, rule=self.rule_id,
                         message=(f"{qualified} created on a "
-                                 f"pre-fork warm-pool path; a lock "
-                                 f"held at fork() deadlocks the "
+                                 f"pre-fork process-pool path; a "
+                                 f"lock held at fork() deadlocks the "
                                  f"child — use the pool context's "
                                  f"multiprocessing primitives"))

@@ -19,7 +19,7 @@ Direct single-expression arithmetic at the sink is left to REP004
 (``skip_direct_binop``) so one mistake yields one finding.
 
 Scope: modules transitively imported by :mod:`repro.api` or the
-campaign pool/runner — the paths whose determinism the CI gate
+campaign runner — the paths whose determinism the CI gate
 actually diffs.  Code outside that closure (one-off analysis
 scripts) may derive seeds however it likes.
 """
@@ -36,8 +36,7 @@ from repro.lint.project import Project
 __all__ = ["SeedProvenanceRule"]
 
 #: Roots whose import closure bounds the rule (the gated run paths).
-_SCOPE_ROOTS = ["repro.api", "repro.campaign.pool",
-                "repro.campaign.runner"]
+_SCOPE_ROOTS = ["repro.api", "repro.campaign.runner"]
 
 _RNG_SINKS = {
     "numpy.random.default_rng": SinkSpec(

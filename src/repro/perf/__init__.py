@@ -16,15 +16,15 @@ The package is organized as a cache hierarchy:
   in-process congruence and indexed-round caches;
 * **L2** (:mod:`repro.perf.shared`) — a cross-process read-mostly
   shared-memory store keyed by digests of exact input bytes, shared by
-  the workers of a parallel experiment run;
+  the workers of one process pool;
 * **L3** (:mod:`repro.perf.disk`) — an on-disk persistent store under
   ``.repro-cache/`` for cold-start artifacts (group catalog, subgroup
   lattices, pattern signatures), keyed by package version.
 
-:mod:`repro.perf.parallel` runs experiment trials over a process pool
-with zero-copy shared-memory inputs (:mod:`repro.perf.blocks`), and
-:func:`hierarchy_stats` snapshots uniform hit/miss/eviction/bytes
-counters across all three levels.
+:mod:`repro.perf.parallel` holds the one process pool — experiment
+trials, campaign cells and served queries all run on it, with pickled
+inputs — and :func:`hierarchy_stats` snapshots uniform
+hit/miss/eviction/bytes counters across all three levels.
 
 See ``docs/PERFORMANCE.md`` for the design and the argument for why
 congruence-invariant keys — and exact-byte keys across processes —

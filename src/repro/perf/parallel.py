@@ -1,4 +1,4 @@
-"""Deterministic zero-copy parallel fan-out for experiment trials.
+"""One process pool for experiment trials, campaign cells and queries.
 
 The experiment drivers validate the paper's claims by randomized
 adversary sweeps: many independent trials, each seeded from its own
@@ -22,17 +22,30 @@ answer.  Three rules make results bit-identical for any worker count:
   and stores only pure functions of those bytes, so *which* worker
   published a value is unobservable in the results.
 
-Dispatch is chunked (one pickled task per chunk of trials, not per
-trial) and trial inputs travel as :class:`repro.perf.blocks.ArrayRef`
-shared-memory descriptors, so per-task IPC is a few hundred bytes.
-Each chunk also ships back its logical-metric delta
-(:mod:`repro.obs.metrics`); the parent merges the deltas, so the
-``--jobs 1`` and ``--jobs N`` registries report identical counters.
+**The pool.**  :func:`process_pool` is the one place a
+``ProcessPoolExecutor`` is built: ``jobs`` workers, each attached by
+the pool initializer to one fresh L2 store.  Its lifetime is the
+caller's scope — one :func:`parallel_map` call, one campaign run
+(:mod:`repro.campaign.runner`), one query server's life
+(:mod:`repro.serve.dispatch`).  On exit it cancels the tasks not yet
+started, lets the workers finish and exit, and folds the store's
+statistics into this process's L2 counters.
 
-Workers that raise surface as a clean :class:`SimulationError` in the
-parent (with the worker traceback in the message) instead of a hung or
-poisoned pool; a hard worker death (``BrokenProcessPool``) is mapped
-to the same error type.
+**The task.**  Every task, pooled or inline, runs through
+:func:`worker_task`: ``fn`` over a list of items, L1 cleared before
+each item when the caller's rule says so (every trial, every cell,
+run queries only), a failure returned as the worker traceback instead
+of raised across the pipe, and the L2 statistics flushed.  Trials and
+cells also ship back their logical-metric delta
+(:mod:`repro.obs.metrics`); the parent merges it, so the ``--jobs 1``
+and ``--jobs N`` registries report identical counters.  Query workers
+keep their counters.
+
+:func:`parallel_map` sends four pickled chunks of items per worker.
+A raising trial surfaces as :class:`SimulationError` with the worker
+traceback in the message (:func:`task_values`); :func:`process_pool`
+re-raises a hard worker death (``BrokenProcessPool``) as the same
+error type.
 """
 
 from __future__ import annotations
@@ -42,12 +55,15 @@ import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["parallel_map", "seeded_trials", "spawn_seeds"]
+__all__ = ["parallel_map", "process_pool", "seeded_trials", "spawn_seeds",
+           "task_values", "worker_task"]
 
 
 def spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
@@ -66,49 +82,62 @@ def spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
     return list(np.random.SeedSequence(int(seed)).spawn(int(count)))
 
 
-def _run_one(fn, item, fresh_caches: bool):
-    if fresh_caches:
-        from repro.perf import clear_caches
+def worker_task(fn, items: list, *, fresh_l1: bool, ship_delta: bool,
+                ) -> tuple[bool, Any, dict | None]:
+    """The pool's one task entry point: ``[fn(x) for x in items]``.
 
-        clear_caches()
-    return fn(item)
-
-
-def _guarded_chunk(payload):
-    """Top-level (picklable) wrapper running one chunk of items.
-
-    Returns ``(outcomes, metrics_delta)``: the per-item results plus
-    the chunk's logical-metric activity (the difference of registry
-    snapshots taken around the chunk).  The parent merges the deltas
-    of a pooled run into its own registry; merge is commutative
-    addition (min-of-mins/max-of-maxes for histograms), so the merged
-    totals equal the inline totals for any chunking.
+    Returns ``(True, values, delta)``, or ``(False, traceback_text,
+    delta)`` for the first item that raised (the rest are skipped).
+    ``fresh_l1`` clears the L1 congruence caches before every item.
+    ``delta`` is the task's metric activity — the difference of
+    registry snapshots around it — when ``ship_delta``, else ``None``;
+    merge is commutative addition, so merged totals equal inline
+    totals for any chunking.  Runs in pool workers and, for the inline
+    reference paths, in the calling process.
     """
-    fn, chunk, fresh_caches = payload
+    from repro import perf
     from repro.obs import metrics as _metrics
-
-    metrics_before = _metrics.registry().snapshot()
-    outcomes = []
-    for item in chunk:
-        try:
-            outcomes.append(("ok", _run_one(fn, item, fresh_caches)))
-        except Exception as exc:  # noqa: BLE001 — reported to the parent
-            outcomes.append(("err", f"{type(exc).__name__}: {exc}\n"
-                                    f"{traceback.format_exc()}"))
     from repro.perf import shared
 
+    before = _metrics.registry().snapshot() if ship_delta else None
+    values: Any = []
+    try:
+        for item in items:
+            if fresh_l1:
+                perf.clear_caches()
+            values.append(fn(item))
+        ok = True
+    except Exception as exc:  # noqa: BLE001 — reported to the parent
+        ok, values = False, (f"{type(exc).__name__}: {exc}\n"
+                             f"{traceback.format_exc()}")
     store = shared.active_store()
     if store is not None:
         store.flush_stats()
-    delta = _metrics.snapshot_delta(metrics_before,
-                                    _metrics.registry().snapshot())
-    return outcomes, delta
+    delta = None if before is None else _metrics.snapshot_delta(
+        before, _metrics.registry().snapshot())
+    return ok, values, delta
+
+
+def task_values(outcome: tuple[bool, Any, dict | None],
+                what: str) -> list:
+    """The values of a finished :func:`worker_task`.
+
+    Merges the task's shipped metric delta into this process's
+    registry, then raises :class:`SimulationError` with the worker
+    traceback if the task failed (``what`` names it in the message).
+    """
+    ok, value, delta = outcome
+    if delta:
+        from repro.obs import metrics as _metrics
+
+        _metrics.registry().merge(delta)
+    if not ok:
+        raise SimulationError(f"{what} failed in worker:\n{value}")
+    return value
 
 
 def _worker_init(store_name, store_lock) -> None:
-    """Pool initializer: attach this worker to the run's L2 store."""
-    if store_name is None:
-        return
+    """Pool initializer: attach this worker to the pool's L2 store."""
     from repro.perf import shared
 
     try:
@@ -117,65 +146,68 @@ def _worker_init(store_name, store_lock) -> None:
         pass  # the store is an accelerator; never fail the worker
 
 
-def _unwrap(outcome):
-    status, value = outcome
-    if status == "err":
-        raise SimulationError(f"experiment trial failed in worker:\n{value}")
-    return value
+@contextmanager
+def process_pool(jobs: int) -> Iterator[ProcessPoolExecutor]:
+    """``with process_pool(jobs) as pool:`` — ``jobs`` worker
+    processes sharing one fresh L2 store for the block's lifetime.
 
-
-def parallel_map(fn, items, jobs: int = 1, *, fresh_caches: bool = True,
-                 chunk_size: int | None = None) -> list:
-    """``[fn(x) for x in items]`` over a process pool, order preserved.
-
-    ``fn`` must be picklable (a module-level function).  ``jobs <= 1``
-    runs inline — same guarded code path, no pool, no L2 store — so a
-    sequential run is the byte-exact reference for any parallel one.
-    ``fresh_caches`` clears the L1 congruence caches before every item
-    (see the module docstring; pass False only for workloads that are
-    cache-state independent).  ``chunk_size`` bounds per-task pickling
-    overhead; the default aims at four chunks per worker.
+    Submit :func:`worker_task` calls to the executor.  Leaving the
+    block cancels tasks not yet started, waits for running ones and
+    the workers' exit, then folds the store's statistics into this
+    process's L2 counters and unlinks the segment.  A worker death
+    breaks the pool for good: every later result or submit raises
+    ``BrokenProcessPool``, which leaves the block as
+    :class:`SimulationError`.  Nothing is respawned.
     """
     from repro.perf import shared
-
-    items = list(items)
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(items) <= 1:
-        # Inline: increments land on this process's registry directly;
-        # the returned delta is what a worker would have shipped back
-        # and must not be merged a second time.
-        outcomes, _ = _guarded_chunk((fn, items, fresh_caches))
-        return [_unwrap(outcome) for outcome in outcomes]
-
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(len(items) / (4 * jobs)))
-    chunks = [items[i:i + chunk_size]
-              for i in range(0, len(items), chunk_size)]
-    payloads = [(fn, chunk, fresh_caches) for chunk in chunks]
 
     context = multiprocessing.get_context()
     lock = context.Lock()
     store = shared.SharedStore.create(lock)
     try:
-        with ProcessPoolExecutor(
-                max_workers=jobs, mp_context=context,
-                initializer=_worker_init,
-                initargs=(store.name, lock)) as pool:
-            chunk_results = list(pool.map(_guarded_chunk, payloads))
-    except BrokenProcessPool as exc:
-        raise SimulationError(
-            "experiment worker process died unexpectedly "
-            "(crash or out-of-memory kill)") from exc
+        pool = ProcessPoolExecutor(
+            max_workers=max(1, int(jobs)), mp_context=context,
+            initializer=_worker_init, initargs=(store.name, lock))
+        try:
+            yield pool
+        except BrokenProcessPool as exc:
+            raise SimulationError(
+                "pool worker process died unexpectedly "
+                "(crash or out-of-memory kill)") from exc
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
     finally:
         shared.accumulate_run(store.aggregated_stats())
         store.close()
         store.unlink()
-    from repro.obs import metrics as _metrics
 
-    for _, delta in chunk_results:
-        _metrics.registry().merge(delta)
-    return [_unwrap(outcome)
-            for outcomes, _ in chunk_results for outcome in outcomes]
+
+def parallel_map(fn, items, jobs: int = 1) -> list:
+    """``[fn(x) for x in items]`` over a process pool, order preserved.
+
+    ``fn`` must be picklable (a module-level function) and runs once
+    per item, after an L1 reset.  ``jobs <= 1`` runs inline — the same
+    :func:`worker_task`, no pool, no L2 store — so a sequential run is
+    the byte-exact reference for any parallel one.  Pooled runs send
+    four chunks of items per worker.
+    """
+    items = list(items)
+    jobs = max(1, int(jobs))
+    if jobs == 1 or len(items) <= 1:
+        # Inline: increments land on this process's registry directly,
+        # so no delta is shipped to be merged a second time.
+        return task_values(worker_task(fn, items, fresh_l1=True,
+                                       ship_delta=False),
+                           "experiment trial")
+
+    size = math.ceil(len(items) / (4 * jobs))
+    with process_pool(jobs) as pool:
+        futures = [pool.submit(worker_task, fn, items[i:i + size],
+                               fresh_l1=True, ship_delta=True)
+                   for i in range(0, len(items), size)]
+        outcomes = [future.result() for future in futures]
+    return [value for outcome in outcomes
+            for value in task_values(outcome, "experiment trial")]
 
 
 def seeded_trials(fn, trials: int, *, seed: int = 0,

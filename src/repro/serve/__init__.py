@@ -11,12 +11,12 @@ as a long-running service:
   the congruence-digest coalescing keys;
 * :mod:`repro.serve.http` — a minimal HTTP/1.1 layer over
   ``asyncio.start_server`` (stdlib only, no new runtime deps);
-* :mod:`repro.serve.worker` — the process-pool task runner (one
-  :func:`repro.api.evaluate_query` per request) and the
-  :class:`repro.perf.blocks.ShmArena` zero-copy unpacking;
-* :mod:`repro.serve.dispatch` — inline (thread) and warm-pool
-  (:class:`repro.campaign.pool.WarmPool`) dispatchers that keep
-  CPU-bound kernels off the event loop;
+* :mod:`repro.serve.worker` — the query task (one
+  :func:`repro.api.evaluate_query` per request);
+* :mod:`repro.serve.dispatch` — one ``loop.run_in_executor`` call
+  that keeps CPU-bound kernels off the event loop: on the server's
+  threads, or on the one process pool of
+  :func:`repro.perf.parallel.process_pool`;
 * :mod:`repro.serve.server` — queue-depth backpressure (429),
   per-request deadlines (504), congruence-keyed coalescing of
   in-flight queries, ``serve.*`` metrics, per-request trace spans and

@@ -1,193 +1,88 @@
-"""Dispatchers: where a query's CPU-bound kernel actually runs.
+"""The dispatcher: where a query's CPU-bound kernel actually runs.
 
 The event loop must never execute a symmetry detection itself — a
 ``γ(P)`` classification can take milliseconds to seconds, and one
-slow query would stall every concurrent client.  Two dispatchers
-implement the same ``await dispatch(task_id, wire) -> payload``
-surface:
+slow query would stall every concurrent client.  :class:`Dispatcher`
+hands each query to ``loop.run_in_executor`` as one
+:func:`repro.perf.parallel.worker_task` call running
+:func:`repro.serve.worker.run_query_task`:
 
-* :class:`InlineDispatcher` (``workers=0``) runs
-  :func:`repro.serve.worker.evaluate_wire_query` on a thread via
-  ``asyncio.to_thread``.  The GIL means heavy numeric queries still
-  steal cycles from the loop, but nothing *blocks* it — right for
-  tests, development and the CLI's default.
-* :class:`PoolDispatcher` (``workers>0``) owns a
-  :class:`repro.campaign.pool.WarmPool` whose runner is
-  :func:`repro.serve.worker.run_query_task`: long-lived worker
-  processes with a shared warm L2 store, exactly the campaign's
-  machinery with a different task type.  A single pump thread polls
-  the pool's result queue and completes per-request futures with
-  ``loop.call_soon_threadsafe`` — the only thread-to-loop crossing.
+* ``workers=0`` — over the loop's default thread executor.  The GIL
+  means heavy numeric queries still steal cycles from the loop, but
+  nothing *blocks* it — right for tests, development and the CLI's
+  default.
+* ``workers>0`` — over a :func:`repro.perf.parallel.process_pool`
+  that lives as long as the server: long-lived worker processes with
+  one shared warm L2 store, the same pool the experiment trials and
+  campaign cells run on.  Query points travel pickled.
 
-Coordinate payloads ride the :class:`repro.perf.blocks.ShmArena`
-zero-copy path: the dispatcher packs each query's arrays into one
-per-request segment and submits lightweight refs; the worker
-materializes and releases them.  The arena is parent-owned and closed
-when the outcome arrives (or on any submit/teardown failure — REP010:
-every exit path releases it exactly once).
+Run queries clear L1 first (the campaign's per-cell rule); geometric
+queries keep it warm.  Query workers keep their metric counters.
+
+A worker that dies breaks the pool for good: that query and every
+later one answers 500 at once, :attr:`Dispatcher.broken` turns true
+(``/v1/healthz`` reports ``broken``), and nothing is respawned — the
+operator restarts the server.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
+import functools
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from typing import Any, Mapping
 
-from repro.errors import ReproError, ServiceError, SimulationError
+from repro.errors import ServiceError
 
-__all__ = ["InlineDispatcher", "PoolDispatcher"]
-
-_PUMP_POLL_SECONDS = 0.1
+__all__ = ["Dispatcher"]
 
 
-class InlineDispatcher:
-    """Evaluate queries on threads inside the server process."""
+class Dispatcher:
+    """Evaluate queries on ``workers`` processes, or on threads."""
 
-    jobs = 0
+    def __init__(self, workers: int) -> None:
+        from repro.perf.parallel import process_pool
 
-    async def dispatch(self, task_id: str,
-                       wire: Mapping[str, Any]) -> dict:
-        from repro.serve.worker import evaluate_wire_query
+        self.broken = False
+        self._resources = ExitStack()
+        self._executor = (self._resources.enter_context(
+            process_pool(workers)) if workers > 0 else None)
 
-        def _run() -> dict:
-            try:
-                return {"status": 200,
-                        "result": evaluate_wire_query(wire)}
-            except ReproError as exc:
-                return {"status": 422, "error": str(exc)}
-
-        return await asyncio.to_thread(_run)
-
-    def close(self) -> None:
-        """Nothing to release; present for dispatcher symmetry."""
-
-
-class PoolDispatcher:
-    """Evaluate queries on a campaign-style warm worker pool."""
-
-    def __init__(self, jobs: int) -> None:
-        from repro.campaign.pool import WarmPool
+    async def dispatch(self, wire: Mapping[str, Any]) -> dict:
+        """``{"status": 200, "result": ...}`` or ``{"status": 422,
+        "error": ...}``; raises :class:`ServiceError` (500) when the
+        worker fails."""
+        from repro.perf.parallel import worker_task
         from repro.serve.worker import run_query_task
 
-        self.jobs = max(1, int(jobs))
-        self._pool = WarmPool(self.jobs, runner=run_query_task)
-        # The pool owns live processes and an L2 segment from here:
-        # any construction failure below must tear it down (REP010).
-        try:
-            self._pending: dict[str, tuple] = {}
-            self._lock = threading.Lock()
-            self._stop = threading.Event()
-            self._pump = threading.Thread(
-                target=self._pump_main, name="serve-pool-pump",
-                daemon=True)
-            self._pump.start()
-        except BaseException:
-            self._pool.close()
-            raise
-        self._closed = False
-
-    def _packed(self, wire: Mapping[str, Any]) -> "tuple[Any, dict]":
-        """``(arena, wire-with-refs)`` for one query's coordinates."""
-        from repro.perf.blocks import ArrayRef, ShmArena
-
-        fields = [fname for fname in ("initial", "target", "points")
-                  if isinstance(wire.get(fname), list)]
-        if not fields:
-            return None, dict(wire)
-        try:
-            arena = ShmArena.pack([wire[fname] for fname in fields])
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(
-                f"query coordinates are not rectangular numeric "
-                f"arrays: {exc}", status=422) from None
-        try:
-            packed = dict(wire)
-            for fname, ref in zip(fields, arena.refs):
-                assert isinstance(ref, ArrayRef)
-                packed[fname] = ref
-        except BaseException:
-            arena.close()
-            raise
-        return arena, packed
-
-    async def dispatch(self, task_id: str,
-                       wire: Mapping[str, Any]) -> dict:
-        if self._closed:
-            raise ServiceError("dispatcher is closed", status=503)
+        # A run's rows must not depend on which queries shared this
+        # worker, so runs start from a cleared L1 (the campaign's
+        # per-cell rule).  Geometric queries keep L1 warm: their
+        # deterministic views are discrete (verdicts, group names).
+        task = functools.partial(worker_task, run_query_task, [wire],
+                                 fresh_l1=wire.get("kind") == "run",
+                                 ship_delta=False)
         loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        arena, packed = self._packed(wire)
-        with self._lock:
-            self._pending[task_id] = (loop, future, arena)
         try:
-            self._pool.submit((task_id, packed))
-        except BaseException:
-            with self._lock:
-                self._pending.pop(task_id, None)
-            if arena is not None:
-                arena.close()
-            raise
-        return await future
-
-    def _complete(self, future: asyncio.Future, payload: dict,
-                  error: Exception | None) -> None:
-        if future.done():  # drain raced a deadline-abandoned future
-            return
-        if error is not None:
-            future.set_exception(error)
-        else:
-            future.set_result(payload)
-
-    def _pump_main(self) -> None:
-        while not self._stop.is_set():
-            try:
-                outcome = self._pool.poll(timeout=_PUMP_POLL_SECONDS)
-            except SimulationError as exc:
-                self._fail_pending(ServiceError(str(exc), status=500))
-                return
-            except (OSError, ValueError):
-                return  # queues closed under us during teardown
-            if outcome is None:
-                continue
-            status, task_id, payload = outcome
-            with self._lock:
-                entry = self._pending.pop(task_id, None)
-            if entry is None:
-                continue
-            loop, future, arena = entry
-            if arena is not None:
-                arena.close()
-            error = None
-            if status == "err":
-                error = ServiceError(
-                    f"query worker failed:\n{payload}", status=500)
-                payload = {}
-            loop.call_soon_threadsafe(self._complete, future, payload,
-                                      error)
-
-    def _fail_pending(self, error: Exception) -> None:
-        with self._lock:
-            entries = list(self._pending.values())
-            self._pending.clear()
-        for loop, future, arena in entries:
-            if arena is not None:
-                arena.close()
-            loop.call_soon_threadsafe(self._complete, future, {},
-                                      error)
-
-    def pending_count(self) -> int:
-        """Tasks submitted but not yet completed (drain telemetry)."""
-        with self._lock:
-            return len(self._pending)
+            future = loop.run_in_executor(self._executor, task)
+            await asyncio.wait((future,))
+            if future.cancelled():  # queued when the pool closed
+                raise ServiceError("server shut down before the query "
+                                   "completed", status=503)
+            ok, value, _ = future.result()
+        except BrokenProcessPool:
+            self.broken = True
+            raise ServiceError("query worker process died; the pool is "
+                               "broken until the server restarts",
+                               status=500) from None
+        if not ok:
+            raise ServiceError(f"query worker failed:\n{value}",
+                               status=500)
+        payload: dict = value[0]
+        return payload
 
     def close(self) -> None:
-        """Stop the pump, fail unserved requests, release the pool
-        and every outstanding arena.  Idempotent."""
-        if getattr(self, "_closed", True):
-            return
-        self._closed = True
-        self._stop.set()
-        self._pump.join(timeout=5.0)
-        self._fail_pending(ServiceError("server shut down before the "
-                                        "query completed", status=503))
-        self._pool.close()
+        """Release the pool: queued queries are cancelled, running ones
+        finish, the workers exit.  Idempotent."""
+        self._resources.close()

@@ -21,10 +21,11 @@ One event loop owns the sockets and the bookkeeping; dispatchers
    ``serve.timeouts``) must not cancel the computation its coalesced
    siblings still await, and even an answer nobody is left to receive
    still lands in the warm caches for the next asker.
-4. **Drain** — SIGTERM/SIGINT stops the listener, lets in-flight
-   queries finish (bounded by the deadline), then closes the
-   dispatcher — which releases the worker pool, its L2 segment and
-   every per-request arena (REP010: nothing leaks on any exit path).
+4. **Drain** — SIGTERM/SIGINT stops the listener, waits up to one
+   deadline for in-flight queries, then closes the dispatcher — which
+   cancels queries still queued (503), lets running ones finish, and
+   releases the worker pool and its L2 segment (REP010: nothing leaks
+   on any exit path).
 
 Counters live in the ``serve.`` namespace of the process
 :class:`repro.obs.metrics.MetricsRegistry` (performance-class: they
@@ -35,7 +36,6 @@ depend on arrival timing); every request runs under a
 from __future__ import annotations
 
 import asyncio
-import itertools
 import signal
 from dataclasses import dataclass
 
@@ -49,11 +49,11 @@ __all__ = ["QueryServer", "ServeConfig", "serve_main"]
 class ServeConfig:
     """Everything that parameterizes one server instance.
 
-    ``workers=0`` evaluates inline on server threads (development,
-    tests); ``workers>0`` runs a warm process pool.  ``port=0`` binds
-    an ephemeral port (the bound address is printed / exposed via
-    :attr:`QueryServer.address`).  ``queue_depth`` bounds admitted
-    queries, not TCP connections.
+    ``workers=0`` evaluates on server threads (development, tests);
+    ``workers>0`` runs a process pool for the server's life.
+    ``port=0`` binds an ephemeral port (the bound address is printed /
+    exposed via :attr:`QueryServer.address`).  ``queue_depth`` bounds
+    admitted queries, not TCP connections.
     """
 
     host: str = "127.0.0.1"
@@ -67,8 +67,10 @@ class QueryServer:
     """One listener + dispatcher + in-flight table.
 
     ``dispatcher`` is injectable for tests (anything with
-    ``await dispatch(task_id, wire) -> payload`` and ``close()``);
-    by default :attr:`ServeConfig.workers` picks inline vs pool.
+    ``await dispatch(wire) -> payload`` and ``close()``, optionally a
+    ``broken`` flag for ``/v1/healthz``); by default a
+    :class:`repro.serve.dispatch.Dispatcher` for
+    :attr:`ServeConfig.workers`.
     """
 
     def __init__(self, config: ServeConfig | None = None,
@@ -79,7 +81,6 @@ class QueryServer:
         self._inflight: dict[str, asyncio.Future] = {}
         self._admitted = 0
         self._draining = False
-        self._task_ids = itertools.count(1)
 
     @property
     def address(self) -> "tuple[str, int]":
@@ -92,14 +93,9 @@ class QueryServer:
     async def start(self) -> None:
         """Build the dispatcher and start listening."""
         if self._dispatcher is None:
-            from repro.serve.dispatch import (
-                InlineDispatcher,
-                PoolDispatcher,
-            )
+            from repro.serve.dispatch import Dispatcher
 
-            self._dispatcher = (
-                PoolDispatcher(self.config.workers)
-                if self.config.workers > 0 else InlineDispatcher())
+            self._dispatcher = Dispatcher(self.config.workers)
         # The dispatcher may own processes and shared memory from
         # here: release it if the listener fails to bind (REP010).
         try:
@@ -113,8 +109,9 @@ class QueryServer:
     async def drain(self) -> None:
         """Stop accepting, finish in-flight work, release everything.
 
-        Idempotent; bounded by one deadline interval — anything still
-        unfinished after that is failed by the dispatcher teardown.
+        Idempotent.  Waits up to one deadline interval for in-flight
+        queries; the dispatcher teardown then answers queries still
+        queued with 503 and waits for running ones.
         """
         self._draining = True
         if self._server is not None:
@@ -185,8 +182,13 @@ class QueryServer:
         return 404, {"error": f"unknown path {request.path!r}"}
 
     def _health_payload(self) -> dict:
+        status = "ok"
+        if self._draining:
+            status = "draining"
+        elif getattr(self._dispatcher, "broken", False):
+            status = "broken"
         return {
-            "status": "draining" if self._draining else "ok",
+            "status": status,
             "workers": self.config.workers,
             "queue_depth": self.config.queue_depth,
             "in_flight": self._admitted,
@@ -283,9 +285,8 @@ class QueryServer:
             self._admitted -= 1
 
     async def _dispatch(self, key: str, wire: dict) -> dict:
-        task_id = f"q{next(self._task_ids)}"
         try:
-            return await self._dispatcher.dispatch(task_id, wire)
+            return await self._dispatcher.dispatch(wire)
         finally:
             # Retire the in-flight entry only if it is still ours: a
             # completed-then-reissued key may already map to a newer

@@ -1,26 +1,18 @@
-"""The pool-side query runner: one ``evaluate_query`` per task.
+"""The query task: one ``evaluate_query`` per served query.
 
-:func:`run_query_task` is the :class:`repro.campaign.pool.WarmPool`
-``runner`` for the serve dispatcher — a module-level callable (it
-crosses the process boundary by pickling) that decodes one wire
-query, answers it through the one façade evaluator, and returns the
-wire result.  The inline dispatcher calls the same
-:func:`evaluate_wire_query` in a thread, so both dispatch paths
-produce the same bytes for the same query.
-
-Zero-copy inputs: the dispatcher may replace a query's coordinate
-lists with :class:`repro.perf.blocks.ArrayRef` descriptors packed
-into a per-request ``ShmArena``.  The worker materializes each ref
-into the immutable tuple form and immediately releases its mapping
-(:func:`repro.perf.blocks.release_attached`) — a query worker sees a
-fresh segment per request, so holding attachments would accumulate
-mappings for the life of the worker.
+:func:`run_query_task` is the task the serve dispatcher runs through
+:func:`repro.perf.parallel.worker_task` — in a pool worker process
+for ``workers>0``, on a server thread for ``workers=0`` — so both
+dispatch paths produce the same bytes for the same query.  It is a
+module-level callable (it crosses the process boundary by pickling)
+that decodes one wire query, answers it through the one façade
+evaluator, and returns the wire result.
 
 Error taxonomy: :class:`repro.errors.ReproError` means the *query*
 was bad or unanswerable (unknown pattern, robot-count mismatch,
-unsupported schema) — the runner catches it and returns a structured
+unsupported schema) — the task catches it and returns a structured
 error payload the server maps to 422.  Anything else is a *server*
-bug and propagates, surfacing as the pool's ``"err"`` outcome → 500.
+bug and propagates, surfacing as the task's failed outcome → 500.
 """
 
 from __future__ import annotations
@@ -29,56 +21,20 @@ from typing import Any, Mapping
 
 from repro.errors import ReproError
 
-__all__ = ["evaluate_wire_query", "run_query_task"]
+__all__ = ["run_query_task"]
 
 
-def _materialized(value: Any) -> Any:
-    """Coordinate rows for a wire field that may be an ``ArrayRef``."""
-    from repro.perf.blocks import ArrayRef, release_attached
-
-    if not isinstance(value, ArrayRef):
-        return value
-    array = value.load()
-    rows = [[float(c) for c in row] for row in array]
-    del array  # the copy is complete; let the mapping go
-    release_attached(value.shm_name)
-    return rows
-
-
-def evaluate_wire_query(wire: Mapping[str, Any]) -> dict:
-    """Decode, evaluate and re-encode one wire query.
-
-    The shared core of both dispatch paths; raises
-    :class:`ReproError` for invalid queries.
-    """
-    from repro.api import evaluate_query
-    from repro.serve.protocol import decode_query, encode_result
-
-    resolved = dict(wire)
-    for fname in ("initial", "target", "points"):
-        if fname in resolved:
-            resolved[fname] = _materialized(resolved[fname])
-    query = decode_query(resolved)
-    if resolved.get("kind") == "run":
-        # A run's rows must be byte-identical to the inline reference
-        # path regardless of which queries shared this worker — same
-        # L1-reset rule as repro.campaign.pool.run_cell_task.  The
-        # geometric queries keep L1 warm: their deterministic views
-        # are discrete (verdicts, group names), never float-bearing.
-        from repro import perf
-
-        perf.clear_caches()
-    return encode_result(evaluate_query(query))
-
-
-def run_query_task(task: "tuple[str, dict]") -> dict:
-    """Execute one serve task ``(task_id, wire_query)`` in-process.
+def run_query_task(wire: Mapping[str, Any]) -> dict:
+    """Decode, evaluate and re-encode one wire query in-process.
 
     Returns ``{"status": 200, "result": wire_result}`` on success and
     ``{"status": 422, "error": message}`` for invalid queries.
     """
-    _task_id, wire = task
+    from repro.api import evaluate_query
+    from repro.serve.protocol import decode_query, encode_result
+
     try:
-        return {"status": 200, "result": evaluate_wire_query(wire)}
+        return {"status": 200,
+                "result": encode_result(evaluate_query(decode_query(wire)))}
     except ReproError as exc:
         return {"status": 422, "error": str(exc)}

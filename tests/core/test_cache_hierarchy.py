@@ -17,8 +17,7 @@ from repro.groups.catalog import icosahedral_group, octahedral_group
 from repro.groups.subgroups import enumerate_concrete_subgroups
 from repro.patterns.library import named_pattern
 from repro.perf import disk, shared
-from repro.perf.blocks import packed_arrays
-from repro.perf.parallel import parallel_map
+from repro.perf.parallel import parallel_map, process_pool, worker_task
 from repro.perf.shared import SharedStore, l2_stats
 from repro.perf.stats import exact_digest, group_digest, hierarchy_stats
 
@@ -105,8 +104,8 @@ class TestSharedStore:
             store.unlink()
 
 
-def _detect_spec(ref):
-    config = Configuration([np.array(row) for row in ref.load()])
+def _detect_spec(points):
+    config = Configuration([np.array(row) for row in points])
     return str(config.rotation_group.spec)
 
 
@@ -117,12 +116,27 @@ class TestL2AcrossWorkers:
         actually happened (not just that results agree)."""
         before = l2_stats()
         cube = np.asarray(named_pattern("cube"))
-        with packed_arrays([cube] * 12) as refs:
-            specs = parallel_map(_detect_spec, list(refs), jobs=4)
+        specs = parallel_map(_detect_spec, [cube] * 12, jobs=4)
         assert specs == ["O"] * 12
         after = l2_stats()
         assert after["remote_hits"] - before["remote_hits"] > 0
         assert after["publishes"] - before["publishes"] >= 1
+
+    def test_one_pool_shares_its_store_across_submissions(self):
+        """Tasks submitted one at a time to one long-lived pool (the
+        campaign and serve pattern) share its store, and the store's
+        counters fold into this process at teardown."""
+        before = l2_stats()
+        cube = np.asarray(named_pattern("cube"))
+        with process_pool(2) as pool:
+            outcomes = [pool.submit(worker_task, _detect_spec, [cube],
+                                    fresh_l1=True, ship_delta=False,
+                                    ).result(timeout=60)
+                        for _ in range(4)]
+        assert outcomes == [(True, ["O"], None)] * 4
+        after = l2_stats()
+        assert after["runs"] == before["runs"] + 1
+        assert after["hits"] - before["hits"] >= 3
 
 
 class TestDiskCache:

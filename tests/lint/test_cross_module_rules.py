@@ -449,33 +449,61 @@ class TestRep010Lifecycle:
         assert by_rule(report, "REP010") == []
 
     def test_thread_primitive_on_prefork_pool_path(self, lint_tree):
+        # The pool module is found by what it constructs, not by its
+        # name: a lock reachable from pool creation is flagged two
+        # modules away; the worker initializer runs post-fork.
         report = lint_tree({
-            "src/repro/campaign/pool.py": """\
+            "src/repro/perf/fanout.py": """\
                 import threading
+                from concurrent.futures import ProcessPoolExecutor
 
-                from repro.campaign.dispatch import prepare
+                from repro.perf.prep import prepare
 
-                class Pool:
-                    def __init__(self, jobs: int) -> None:
-                        self.jobs = jobs
-                        prepare(self)
+                def make_pool(jobs: int):
+                    prepare()
+                    return ProcessPoolExecutor(
+                        max_workers=jobs, initializer=_worker_init)
 
-                def _worker_main(tasks) -> None:
+                def _worker_init() -> None:
                     # Post-fork: a thread here is the child's business.
                     pump = threading.Thread(target=list)
                     pump.start()
             """,
-            "src/repro/campaign/dispatch.py": """\
+            "src/repro/perf/prep.py": """\
                 import threading
 
-                def prepare(pool) -> None:
-                    pool.guard = threading.Lock()
+                GUARDS = []
+
+                def prepare() -> None:
+                    GUARDS.append(threading.Lock())
             """,
         })
         found = by_rule(report, "REP010")
         assert len(found) == 1
-        assert found[0].path == "src/repro/campaign/dispatch.py"
+        assert found[0].path == "src/repro/perf/prep.py"
         assert "pre-fork" in found[0].message
+
+    def test_thread_primitive_without_a_pool_is_fine(self, lint_tree):
+        # Same lock, but no module constructs a process pool: no
+        # pre-fork path exists, whatever the modules are called.
+        report = lint_tree({
+            "src/repro/campaign/pool.py": """\
+                from repro.perf.prep import prepare
+
+                def make_pool(jobs: int) -> int:
+                    prepare()
+                    return jobs
+            """,
+            "src/repro/perf/prep.py": """\
+                import threading
+
+                GUARDS = []
+
+                def prepare() -> None:
+                    GUARDS.append(threading.Lock())
+            """,
+        })
+        assert by_rule(report, "REP010") == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ deadlines, and leak-free drain."""
 import asyncio
 import http.client
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -160,13 +164,13 @@ class _GatedDispatcher:
         self.server = None  # bound by the test after construction
         self.dispatches = 0
 
-    async def dispatch(self, task_id, wire):
-        from repro.serve.dispatch import InlineDispatcher
+    async def dispatch(self, wire):
+        from repro.serve.dispatch import Dispatcher
 
         self.dispatches += 1
         while self.server._admitted < self.expected:
             await asyncio.sleep(0.005)
-        return await InlineDispatcher().dispatch(task_id, wire)
+        return await Dispatcher(workers=0).dispatch(wire)
 
     def close(self):
         pass
@@ -215,7 +219,7 @@ class _SlowDispatcher:
     def __init__(self, delay_s):
         self.delay_s = delay_s
 
-    async def dispatch(self, task_id, wire):
+    async def dispatch(self, wire):
         await asyncio.sleep(self.delay_s)
         return {"status": 200,
                 "result": {"wire_schema": 1, "schema_version": 1,
@@ -280,15 +284,20 @@ class TestBackpressureAndDeadlines:
             st.server._draining = False
 
 
+def _shm_segments() -> set:
+    """POSIX shared-memory segments this platform names ``psm_*``."""
+    return {path.name for path in Path("/dev/shm").glob("psm_*")}
+
+
 class TestPoolDrain:
+    @pytest.mark.skipif(not Path("/dev/shm").is_dir(),
+                        reason="needs /dev/shm to list segments")
     def test_pool_serving_leaves_no_workers_or_segments(self):
-        import multiprocessing
-
-        from repro.perf import blocks
-
+        before = _shm_segments()
         with _ServerThread(ServeConfig(workers=1,
                                        queue_depth=8)) as st:
             host, port = st.address
+            assert _shm_segments() - before  # the pool's L2 store
             with ServeClient(host, port) as client:
                 for offset in (0.0, 3.0):
                     points = tuple(tuple(c + offset for c in row)
@@ -296,12 +305,61 @@ class TestPoolDrain:
                     result = client.query(
                         SymmetricityQuery(points=points))
                     assert result.verdict == "O"
-        # Drain happened in __exit__: pool workers are joined and every
-        # per-request arena was closed on outcome delivery.
-        assert blocks._LOCAL == {}
+        # Drain happened in __exit__: pool workers are joined and no
+        # segment created while serving outlives it.
+        assert _shm_segments() - before == set()
         for child in multiprocessing.active_children():
             child.join(timeout=5)
             assert not child.is_alive()
+
+    def test_close_answers_queued_queries_503(self):
+        # One worker holds two tasks (running + the executor's call
+        # queue); the rest are still queued when the pool closes and
+        # answer 503, while the started ones finish normally.
+        from repro.api import ExperimentSpec
+        from repro.serve.dispatch import Dispatcher
+        from repro.serve.protocol import encode_query
+
+        wire = encode_query(RunQuery(name="lemma7",
+                                     spec=ExperimentSpec(trials=4)))
+
+        async def main():
+            dispatcher = Dispatcher(workers=1)
+            try:
+                tasks = [asyncio.ensure_future(dispatcher.dispatch(wire))
+                         for _ in range(4)]
+                await asyncio.sleep(0.3)
+            finally:
+                dispatcher.close()
+            return await asyncio.gather(*tasks, return_exceptions=True)
+
+        outcomes = asyncio.run(main())
+        statuses = [outcome.status if isinstance(outcome, ServiceError)
+                    else outcome["status"] for outcome in outcomes]
+        assert statuses[0] == 200
+        assert statuses[-1] == 503
+
+    def test_dead_worker_fails_fast_and_reports_broken(self):
+        deadline_s = 5.0
+        known = {child.pid for child in multiprocessing.active_children()}
+        with _ServerThread(ServeConfig(workers=1,
+                                       deadline_s=deadline_s)) as st:
+            host, port = st.address
+            with ServeClient(host, port) as client:
+                assert client.query(
+                    SymmetricityQuery(points="cube")).verdict == "O"
+                (worker,) = [child for child
+                             in multiprocessing.active_children()
+                             if child.pid not in known]
+                os.kill(worker.pid, signal.SIGKILL)
+                for points in ("octahedron", "icosahedron"):
+                    started = time.monotonic()
+                    with pytest.raises(ServiceError) as info:
+                        client.query(SymmetricityQuery(points=points))
+                    assert info.value.status == 500
+                    assert time.monotonic() - started < deadline_s / 5
+                health = client.health()
+        assert health["status"] == "broken"
 
     def test_health_and_metrics_endpoints(self):
         with _ServerThread(ServeConfig(queue_depth=7)) as st:
