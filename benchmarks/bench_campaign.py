@@ -67,7 +67,7 @@ def _run_dispatch(mapping: dict, jobs: int) -> None:
         perf.clear_caches()
         spec = ExperimentSpec(
             trials=cell.spec.trials, seed=cell.spec.seed, jobs=jobs,
-            cache=cell.spec.cache, backend=cell.spec.backend)
+            cache=cell.spec.cache)
         run_experiment(cell.experiment, spec)
 
 

@@ -153,28 +153,25 @@ def test_epsilon_ablation(benchmark):
 # Swarm scale (ROADMAP north star: n in the thousands).  These sizes
 # are where the O(n²) candidate-axis enumeration used to dominate; the
 # k-d shell pruning keeps detection near-linear, so the curve through
-# n=4096 must stay under the old n=256 cost.  All three benchmarks
-# honor the ``--backend`` flag and record the backend that actually
-# ran in ``extra_info``.
+# n=4096 must stay under the old n=256 cost.
 # ---------------------------------------------------------------------------
 
 SWARM_SIZES = [256, 1024, 4096]
 
 
 @pytest.mark.parametrize("n", SWARM_SIZES)
-def test_swarm_detection_scaling(benchmark, bench_backend, n):
+def test_swarm_detection_scaling(benchmark, n):
     """γ(P) detection on generic (asymmetric) swarms: the cost is the
     axis-candidate sweep, which the shell pruning bends sub-quadratic."""
     rng = np.random.default_rng(n)
     points = [rng.normal(size=3) for _ in range(n)]
     report = benchmark(detect_rotation_group, points)
-    benchmark.extra_info["backend"] = bench_backend
     benchmark.extra_info["n"] = n
     assert report.kind == "finite"
 
 
 @pytest.mark.parametrize("n", SWARM_SIZES)
-def test_swarm_decomposition_scaling(benchmark, bench_backend, n):
+def test_swarm_decomposition_scaling(benchmark, n):
     """Orbit decomposition of a maximally symmetric swarm (a regular
     n-gon: one orbit, group order 2n) — one k-d range query per orbit
     instead of a greedy O(|G|·n²) claim sweep."""
@@ -184,7 +181,6 @@ def test_swarm_decomposition_scaling(benchmark, bench_backend, n):
     config = Configuration(points)
     group = config.symmetry.group
     orbits = benchmark(orbit_decomposition, config, group)
-    benchmark.extra_info["backend"] = bench_backend
     benchmark.extra_info["group_order"] = group.order
     assert len(orbits) == 1
 
@@ -208,7 +204,7 @@ class _SwarmContract:
 
 
 @pytest.mark.parametrize("n", SWARM_SIZES)
-def test_swarm_round_scaling(benchmark, bench_backend, n):
+def test_swarm_round_scaling(benchmark, n):
     """One full Look–Compute–Move cycle on the batched round engine:
     the Look einsum, one ``compute_batch`` over the local-view tensor,
     and the vectorized Move — no per-robot Python objects on the hot
@@ -225,12 +221,11 @@ def test_swarm_round_scaling(benchmark, bench_backend, n):
     destinations = benchmark.pedantic(
         scheduler.step, args=(points,), rounds=3, iterations=1,
         warmup_rounds=1)
-    benchmark.extra_info["backend"] = bench_backend
     assert len(destinations) == n
 
 
 @pytest.mark.parametrize("n", [256, 1024])
-def test_swarm_round_fallback_scaling(benchmark, bench_backend, n):
+def test_swarm_round_fallback_scaling(benchmark, n):
     """The same round through the per-robot reference loop (one
     ``Observation`` per robot): the cost the batched engine removes."""
     from repro.robots.adversary import identity_frames
@@ -243,5 +238,4 @@ def test_swarm_round_fallback_scaling(benchmark, bench_backend, n):
     destinations = benchmark.pedantic(
         scheduler.step, args=(points,), rounds=3, iterations=1,
         warmup_rounds=1)
-    benchmark.extra_info["backend"] = bench_backend
     assert len(destinations) == n

@@ -20,32 +20,11 @@ def pytest_addoption(parser):
         "--jobs", action="store", type=int, default=1,
         help="worker processes for experiment trial fan-out "
              "(results are bit-identical for any value)")
-    parser.addoption(
-        "--backend", action="store", default=None,
-        help="array backend for the benchmarked kernels (numpy, numba, "
-             "cupy; default: REPRO_BACKEND or numpy; an unavailable "
-             "backend falls back to numpy with a warning)")
 
 
 @pytest.fixture
 def jobs(request) -> int:
     return request.config.getoption("--jobs")
-
-
-@pytest.fixture
-def bench_backend(request) -> str:
-    """Activate the ``--backend`` selection; returns the active name.
-
-    The name that actually resolved (after any fallback) is what
-    benchmarks record in ``extra_info``, so a BENCH artifact can never
-    claim accelerator numbers that silently ran on the reference.
-    """
-    from repro.backend import backend_name, set_backend
-
-    requested = request.config.getoption("--backend")
-    if requested is not None:
-        set_backend(requested)
-    return backend_name()
 
 
 def print_table(title: str, rows: list[dict]) -> None:

@@ -1,6 +1,6 @@
 """Regeneration of the paper's tables and figures, plus the experiment
-drivers used by the benchmark harness (see DESIGN.md's experiment
-index and EXPERIMENTS.md for paper-vs-measured records).
+drivers behind :func:`repro.api.run_experiment` (see DESIGN.md's
+experiment index and EXPERIMENTS.md for paper-vs-measured records).
 """
 
 from repro.analysis.tables import (
@@ -9,14 +9,6 @@ from repro.analysis.tables import (
     table3_symmetricity,
 )
 from repro.analysis.lattice import subgroup_lattice, polyhedral_lattice_edges
-from repro.analysis.experiments import (
-    lemma7_experiment,
-    theorem41_experiment,
-    theorem11_experiment,
-    figure1_experiment,
-    plane_formation_experiment,
-    baseline_2d_experiment,
-)
 
 __all__ = [
     "table1_polyhedral_groups",
@@ -24,10 +16,4 @@ __all__ = [
     "table3_symmetricity",
     "subgroup_lattice",
     "polyhedral_lattice_edges",
-    "lemma7_experiment",
-    "theorem41_experiment",
-    "theorem11_experiment",
-    "figure1_experiment",
-    "plane_formation_experiment",
-    "baseline_2d_experiment",
 ]

@@ -5,12 +5,9 @@ lemmas and theorems) and returns structured result rows; the
 ``benchmarks/`` scripts print them in the same shape the paper
 reports, and EXPERIMENTS.md records paper-vs-measured.
 
-The public entrypoints are the :mod:`repro.api` façade's
-``run_experiment(name, spec)`` registry; the historical
-``*_experiment(trials=, seed=, jobs=)`` functions survive as thin
-deprecated shims that delegate through the façade (so tracing,
-metrics and manifests cover them too).  The ``_*_rows`` functions
-here are the raw drivers the façade dispatches to.
+The public entrypoint is the :mod:`repro.api` façade's
+``run_experiment(name, spec)`` registry; the ``_*_rows`` functions
+here are the raw drivers it dispatches to.
 
 The randomized sweeps accept a ``jobs`` parameter: independent trials
 fan out over a process pool (:func:`repro.perf.parallel_map`).  Every
@@ -46,15 +43,7 @@ from repro.robots.algorithms.pattern_formation import (
 from repro.robots.algorithms.sym import is_sym_terminal, psi_sym
 from repro.robots.scheduler import FsyncScheduler
 
-__all__ = [
-    "lemma7_experiment",
-    "theorem41_experiment",
-    "theorem11_experiment",
-    "figure1_experiment",
-    "plane_formation_experiment",
-    "baseline_2d_experiment",
-    "GOC_POLYHEDRA",
-]
+__all__ = ["GOC_POLYHEDRA"]
 
 GOC_POLYHEDRA = [
     "tetrahedron", "octahedron", "cube", "cuboctahedron",
@@ -466,58 +455,3 @@ def _baseline_2d_rows(seed: int = 0) -> list[dict]:
             "formed": formed,
         })
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Deprecated entrypoints
-# ---------------------------------------------------------------------------
-#
-# The historical ``*_experiment`` functions predate the ``repro.api``
-# façade.  They survive as thin shims so existing callers keep working,
-# but new code should call ``repro.api.run_experiment(name, spec)``
-# (which also yields the run's manifest and metrics snapshot, not just
-# the rows).
-
-def _shim(name: str, **spec_kwargs):
-    import warnings
-
-    from repro.api import ExperimentSpec, run_experiment
-
-    warnings.warn(
-        f"repro.analysis.experiments.{name}_experiment() is deprecated; "
-        f"use repro.api.run_experiment({name!r}, ExperimentSpec(...))",
-        DeprecationWarning, stacklevel=3)
-    return run_experiment(name, ExperimentSpec(**spec_kwargs)).rows
-
-
-def lemma7_experiment(trials: int = 10, seed: int = 0,
-                      jobs: int = 1) -> list[dict]:
-    """Deprecated: ``repro.api.run_experiment("lemma7", spec).rows``."""
-    return _shim("lemma7", trials=trials, seed=seed, jobs=jobs)
-
-
-def theorem41_experiment(trials: int = 5, seed: int = 0,
-                         jobs: int = 1) -> list[dict]:
-    """Deprecated: ``repro.api.run_experiment("theorem41", spec).rows``."""
-    return _shim("theorem41", trials=trials, seed=seed, jobs=jobs)
-
-
-def theorem11_experiment(seed: int = 0, jobs: int = 1) -> list[Theorem11Row]:
-    """Deprecated: ``repro.api.run_experiment("theorem11", spec).rows``."""
-    return _shim("theorem11", seed=seed, jobs=jobs)
-
-
-def figure1_experiment(trials: int = 5, seed: int = 0,
-                       jobs: int = 1) -> list[dict]:
-    """Deprecated: ``repro.api.run_experiment("figure1", spec).rows``."""
-    return _shim("figure1", trials=trials, seed=seed, jobs=jobs)
-
-
-def plane_formation_experiment(seed: int = 0) -> list[dict]:
-    """Deprecated: ``run_experiment("plane_formation", spec).rows``."""
-    return _shim("plane_formation", seed=seed)
-
-
-def baseline_2d_experiment(seed: int = 0) -> list[dict]:
-    """Deprecated: ``repro.api.run_experiment("baseline_2d", spec).rows``."""
-    return _shim("baseline_2d", seed=seed)

@@ -35,7 +35,6 @@ counters.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
@@ -53,9 +52,15 @@ __all__ = ["API_SCHEMA_VERSION", "ExperimentSpec", "FormabilityQuery",
            "spec_record"]
 
 #: Version of the typed query/spec records.  Bumped whenever a field
-#: is added, renamed or changes meaning; serialized records carry it
-#: and decoders reject versions they do not understand.
-API_SCHEMA_VERSION = 1
+#: is added, renamed, removed or changes meaning; serialized records
+#: carry it and decoders reject versions they do not understand.
+#: Version 2 dropped ``ExperimentSpec.backend``.
+API_SCHEMA_VERSION = 2
+
+
+def _is_int(value: object) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -67,23 +72,36 @@ class ExperimentSpec:
     ``baseline_2d`` — ignore it).  ``cache`` of ``None`` inherits the
     process's current cache-enablement; True/False force it for the
     duration of the run and restore the prior setting afterwards.
-    ``backend`` of ``None`` likewise inherits the process's active
-    array backend; a name (``"numpy"``, ``"numba"``, ``"cupy"``)
-    forces it for the run — with the usual graceful fallback to NumPy
-    when the requested backend is unavailable — and restores the
-    prior backend afterwards.  The three ``*_path`` fields request
-    artifacts; ``None`` writes nothing.
+    The three ``*_path`` fields request artifacts; ``None`` writes
+    nothing.
+
+    Construction validates the run parameters — ``trials`` is None or
+    an integer ≥ 0, ``seed`` an integer ≥ 0, ``cache`` None or a bool
+    (a bool is not an integer here) — and raises :class:`ReproError`
+    otherwise, so every surface (CLI, wire, campaign file) rejects a
+    malformed spec before any work starts.
     """
 
     trials: int | None = None
     seed: int = 0
     jobs: int = 1
     cache: bool | None = None
-    backend: str | None = None
     trace_path: str | Path | None = None
     metrics_path: str | Path | None = None
     manifest_path: str | Path | None = None
     schema_version: int = API_SCHEMA_VERSION
+
+    def __post_init__(self) -> None:
+        if self.trials is not None and not (
+                _is_int(self.trials) and self.trials >= 0):
+            raise ReproError(f"spec 'trials' must be null or an integer "
+                             f">= 0, got {self.trials!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ReproError(f"spec 'seed' must be an integer >= 0, "
+                             f"got {self.seed!r}")
+        if self.cache is not None and not isinstance(self.cache, bool):
+            raise ReproError(f"spec 'cache' must be null or a boolean, "
+                             f"got {self.cache!r}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +266,6 @@ def _spec_record(name: str, spec: ExperimentSpec,
         record["trials"] = inspect.signature(
             driver).parameters["trials"].default
     record["cache"] = spec.cache
-    record["backend"] = spec.backend
     record["schema_version"] = spec.schema_version
     return record
 
@@ -256,13 +273,12 @@ def _spec_record(name: str, spec: ExperimentSpec,
 def resolved_spec_record(name: str, spec: ExperimentSpec) -> dict:
     """The manifest ``spec`` section for ``(name, spec)``, pre-run.
 
-    Only the driver-consumed parameters appear (plus ``cache`` and
-    ``backend``), with ``trials=None`` resolved to the driver's
-    documented default — exactly what :func:`run_experiment` will
-    record in the manifest.  The campaign layer keys cells on a digest
-    of this record *before* running them, so resume can skip a cell
-    without recomputing it.  Raises :class:`repro.errors.ReproError`
-    for an unknown ``name``.
+    Only the driver-consumed parameters appear (plus ``cache``), with
+    ``trials=None`` resolved to the driver's documented default —
+    exactly what :func:`run_experiment` will record in the manifest.
+    The campaign layer keys cells on a digest of this record *before*
+    running them, so resume can skip a cell without recomputing it.
+    Raises :class:`repro.errors.ReproError` for an unknown ``name``.
     """
     if name not in _REGISTRY:
         known = ", ".join(experiment_names())
@@ -299,12 +315,6 @@ def _execute_run(name: str, spec: ExperimentSpec) -> RunResult:
 
         prior_cache = _perf.is_enabled()
         _perf.set_enabled(spec.cache)
-    prior_backend = None
-    if spec.backend is not None:
-        from repro import backend as _backend
-
-        prior_backend = _backend.backend_name()
-        _backend.set_backend(spec.backend)
     tracer = JsonlTracer(spec.trace_path) if spec.trace_path \
         else AggregatingTracer()
     reg = _metrics.registry()
@@ -320,17 +330,14 @@ def _execute_run(name: str, spec: ExperimentSpec) -> RunResult:
             from repro import perf as _perf
 
             _perf.set_enabled(prior_cache)
-        if prior_backend is not None:
-            from repro import backend as _backend
-
-            _backend.set_backend(prior_backend)
 
     full_delta = _metrics.snapshot_delta(before, reg.snapshot())
     logical, performance = _metrics.split_performance(
         full_delta.get("counters", {}))
     # The manifest's deterministic view embeds the metrics section, so
-    # it gets the logical delta only; the jobs-dependent backend
-    # performance counters travel on the result and the artifact.
+    # it gets the logical delta only; the jobs-dependent performance
+    # counters (the ``backend`` section) travel on the result and the
+    # artifact.
     logical_delta = {"counters": logical,
                      "histograms": full_delta.get("histograms", {})}
     run_metrics = {**logical_delta,
@@ -358,29 +365,12 @@ def spec_record(spec: ExperimentSpec) -> dict:
     """The spec as a JSON-friendly dict (paths stringified).
 
     Carries ``schema_version`` like every serialized record of the
-    query surface; this is the canonical name of what used to be
-    ``spec_as_dict``.
+    query surface.
     """
     record = asdict(spec)
     for key in ("trace_path", "metrics_path", "manifest_path"):
         if record[key] is not None:
             record[key] = str(record[key])
-    return record
-
-
-def spec_as_dict(spec: ExperimentSpec) -> dict:
-    """Deprecated pre-versioning name of :func:`spec_record`.
-
-    The record gained ``schema_version`` in the query-surface
-    redesign; this shim preserves the historical shape (no version
-    field) for callers that pinned it.
-    """
-    warnings.warn(
-        "repro.api.spec_as_dict() is deprecated; use "
-        "repro.api.spec_record() (the record now carries "
-        "schema_version)", DeprecationWarning, stacklevel=2)
-    record = spec_record(spec)
-    record.pop("schema_version", None)
     return record
 
 

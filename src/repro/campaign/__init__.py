@@ -1,7 +1,7 @@
 """Declarative experiment campaigns over the :mod:`repro.api` façade.
 
-The paper's results are a *grid* of runs — (pattern, n, model, seed,
-backend) — and this package runs that grid as one unit of work:
+The paper's results are a *grid* of runs — (experiment, trials, seed,
+cache) — and this package runs that grid as one unit of work:
 
 * :mod:`repro.campaign.spec` compiles TOML/JSON campaign files into
   ``ExperimentSpec`` grids and keys every cell by a digest of its
@@ -11,10 +11,9 @@ backend) — and this package runs that grid as one unit of work:
   once), largest-cell-first — on one process pool
   (:func:`repro.perf.parallel.process_pool`) that keeps the L2 store
   attached across the run's cells;
-* :mod:`repro.campaign.store` persists results (DuckDB with the
-  ``campaign`` extra, canonical JSONL otherwise);
+* :mod:`repro.campaign.store` persists results as canonical JSONL;
 * :mod:`repro.campaign.report` regenerates the paper tables from the
-  store as SQL.
+  store.
 
 CLI: ``repro campaign run examples/paper.toml --jobs 4`` then
 ``repro campaign report``.  See docs/PERFORMANCE.md ("Campaign
@@ -29,11 +28,7 @@ from repro.campaign.spec import (
     cell_digest,
     load_campaign,
 )
-from repro.campaign.store import (
-    default_store_path,
-    duckdb_available,
-    open_store,
-)
+from repro.campaign.store import default_store_path, open_store
 
 __all__ = [
     "CampaignCell",
@@ -41,7 +36,6 @@ __all__ = [
     "CampaignSpec",
     "cell_digest",
     "default_store_path",
-    "duckdb_available",
     "generate_report",
     "load_campaign",
     "open_store",

@@ -7,11 +7,7 @@ plane-formation and 2D sanity anchors), so the report is one section
 per experiment present in the store: the cells that produced it and
 the union of their rows as a table.
 
-On the DuckDB backend every section is fetched by the SQL printed
-with it (the ``rows`` table flattens one JSON row per record); the
-JSONL fallback computes the identical section from the store API and
-prints the SQL it *would* run, so a report is reproducible by hand on
-either backend.
+Every section is computed from the store's cell records.
 """
 
 from __future__ import annotations
@@ -20,24 +16,13 @@ import html as _html
 import json
 from pathlib import Path
 
-from repro.campaign.store import ResultsStore
+from repro.campaign.store import JsonlStore
 
-__all__ = ["generate_report", "section_sql", "write_report"]
-
-
-def section_sql(experiment: str) -> str:
-    """The SQL regenerating one experiment's rows on DuckDB."""
-    return ("SELECT digest, row_index, row FROM rows\n"
-            f"WHERE experiment = '{experiment}'\n"
-            "ORDER BY digest, row_index")
+__all__ = ["generate_report", "write_report"]
 
 
-def _rows_for(store: ResultsStore, experiment: str) -> list[dict]:
-    """``(cell digest, row)`` pairs, via SQL when the backend has it."""
-    if store.kind == "duckdb":
-        _columns, records = store.query(section_sql(experiment))
-        return [{"digest": digest, **json.loads(row)}
-                for digest, _row_index, row in records]
+def _rows_for(store: JsonlStore, experiment: str) -> list[dict]:
+    """One experiment's rows, each tagged with its cell digest."""
     rows = []
     for record in store.cells(experiment):
         for row in record.get("rows", []):
@@ -65,7 +50,7 @@ def _markdown_table(rows: list[dict]) -> list[str]:
     return lines
 
 
-def generate_report(store: ResultsStore, fmt: str = "markdown") -> str:
+def generate_report(store: JsonlStore, fmt: str = "markdown") -> str:
     """The campaign report as ``markdown`` or ``html`` text."""
     cells = store.cells()
     experiments = sorted({record["experiment"] for record in cells})
@@ -81,10 +66,6 @@ def generate_report(store: ResultsStore, fmt: str = "markdown") -> str:
         lines.append("")
         lines.append(f"{count} cell{'s' if count != 1 else ''}; rows "
                      f"keyed by cell digest (first column).")
-        lines.append("")
-        lines.append("```sql")
-        lines.append(section_sql(experiment))
-        lines.append("```")
         lines.append("")
         rows = _rows_for(store, experiment)
         rows = [{**row, "digest": row["digest"][:12]} for row in rows]
@@ -104,7 +85,7 @@ def generate_report(store: ResultsStore, fmt: str = "markdown") -> str:
 def _to_html(markdown: str) -> str:
     """A minimal, dependency-free HTML rendering of the report.
 
-    Headings, fenced code blocks and tables only — exactly what
+    Headings, paragraphs and tables only — exactly what
     :func:`generate_report` emits.
     """
     out = ["<!DOCTYPE html>", "<html><head><meta charset='utf-8'>",
@@ -113,16 +94,8 @@ def _to_html(markdown: str) -> str:
            "td,th{border:1px solid #999;padding:2px 6px;"
            "font-family:monospace;font-size:12px}</style>",
            "</head><body>"]
-    in_code = False
     in_table = False
     for line in markdown.splitlines():
-        if line.startswith("```"):
-            out.append("</pre>" if in_code else "<pre>")
-            in_code = not in_code
-            continue
-        if in_code:
-            out.append(_html.escape(line))
-            continue
         is_table = line.startswith("|")
         if is_table and not in_table:
             out.append("<table>")
@@ -149,7 +122,7 @@ def _to_html(markdown: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_report(store: ResultsStore, path: str | Path,
+def write_report(store: JsonlStore, path: str | Path,
                  fmt: str | None = None) -> str:
     """Write the report to ``path``; the format follows the suffix
     (``.html`` → HTML, anything else markdown) unless forced."""

@@ -51,7 +51,7 @@ from repro.campaign.spec import (
     cell_digest,
     load_campaign,
 )
-from repro.campaign.store import ResultsStore, open_store
+from repro.campaign.store import JsonlStore, open_store
 from repro.errors import ReproError
 
 __all__ = ["CampaignResult", "run_campaign", "run_cell_task"]
@@ -109,7 +109,7 @@ def run_campaign(spec: CampaignSpec | str | Path, *, jobs: int = 1,
                  store_path: str | Path | None = None,
                  max_cells: int | None = None,
                  fresh: bool = False,
-                 store: ResultsStore | None = None) -> CampaignResult:
+                 store: JsonlStore | None = None) -> CampaignResult:
     """Run (or resume) a campaign; returns the run summary.
 
     ``jobs=1`` executes cells inline; ``jobs>=2`` on one process pool
@@ -209,7 +209,7 @@ def run_cell_task(task: "tuple[str, str, ExperimentSpec]",
     return record, journal
 
 
-def _execute(pending: list[tuple], jobs: int, store: ResultsStore,
+def _execute(pending: list[tuple], jobs: int, store: JsonlStore,
              reg) -> int:
     """Run the pending cells, persisting each as it completes.
 

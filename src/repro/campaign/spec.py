@@ -1,7 +1,7 @@
 """Declarative campaign specs: TOML/JSON grids over ``repro.api``.
 
 A campaign file names a list of experiments and, per experiment, the
-axes to sweep (``seed``, ``trials``, ``backend``, ``cache``).  Any
+axes to sweep (``seed``, ``trials``, ``cache``).  Any
 axis may be a scalar or a list; lists expand to their cartesian
 product, so::
 
@@ -50,7 +50,7 @@ __all__ = [
 CAMPAIGN_SCHEMA_VERSION = 1
 
 #: Spec keys that expand into grid axes, in expansion order.
-GRID_AXES = ("trials", "seed", "backend", "cache")
+GRID_AXES = ("trials", "seed", "cache")
 
 _ENTRY_KEYS = frozenset(("name",) + GRID_AXES)
 _DEFAULT_KEYS = frozenset(GRID_AXES)
@@ -202,10 +202,9 @@ def _expand_entry(entry: dict, defaults: dict,
         seed = combo.get("seed")
         spec = ExperimentSpec(
             trials=combo.get("trials"),
-            seed=0 if seed is None else int(seed),
+            seed=0 if seed is None else seed,
             jobs=1,
-            cache=combo.get("cache"),
-            backend=combo.get("backend"))
+            cache=combo.get("cache"))
         cells.append(CampaignCell(experiment=experiment, spec=spec,
                                   index=start + offset))
     return cells

@@ -1,4 +1,4 @@
-"""Campaign results stores: DuckDB when available, JSONL otherwise.
+"""The campaign results store: canonical JSONL on disk.
 
 One store holds everything a campaign produced, split into two
 sections with different determinism contracts:
@@ -7,19 +7,14 @@ sections with different determinism contracts:
   (:func:`repro.campaign.spec.cell_digest`).  A cell record is a pure
   function of ``(experiment, spec)``: the rows, their SHA-256, the
   logical metric counters and the manifest's ``deterministic_view``.
-  The canonical export (:meth:`ResultsStore.export_canonical`) is the
+  The canonical export (:meth:`JsonlStore.export_canonical`) is the
   cells sorted by digest as JSON lines, so two campaigns over the same
   spec produce *byte-identical* exports at any worker count and across
   interrupted-then-resumed vs. uninterrupted runs.
 * **journal** — append-only events carrying everything that is *not*
-  deterministic: per-phase wall-time rollups, cache/backend
+  deterministic: per-phase wall-time rollups, the ``backend``
   performance counters, run summaries.  Journals never participate in
   the canonical export or in resume decisions.
-
-The DuckDB backend (``.duckdb`` path, ``pip install repro[campaign]``)
-additionally flattens rows into a ``rows`` table so paper tables
-regenerate as plain SQL; without DuckDB the JSONL backend
-(``.jsonl``) serves the same store API minus :meth:`ResultsStore.query`.
 """
 
 from __future__ import annotations
@@ -36,52 +31,46 @@ if TYPE_CHECKING:  # pragma: no cover — annotation-only import
 
 __all__ = [
     "STORE_SCHEMA_VERSION",
-    "DuckDBStore",
     "JsonlStore",
-    "ResultsStore",
     "build_cell_record",
     "default_store_path",
-    "duckdb_available",
     "open_store",
 ]
 
-STORE_SCHEMA_VERSION = 1
+#: Version of the store's record layout.  Version 2: cell digests no
+#: longer cover an array-backend name, so a version-1 store is refused
+#: instead of resumed into a second copy of every cell.
+STORE_SCHEMA_VERSION = 2
 
 _ENV_DIR = "REPRO_CAMPAIGN_DIR"
 _DEFAULT_DIR = ".repro-campaign"
 
 
-def duckdb_available() -> bool:
-    """Whether the optional ``duckdb`` dependency is importable."""
-    try:
-        import duckdb  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def default_store_path(root: str | Path | None = None) -> Path:
-    """``.repro-campaign/results.duckdb`` — or ``.jsonl`` without the
-    ``campaign`` extra (``REPRO_CAMPAIGN_DIR`` overrides the directory)."""
+    """``.repro-campaign/results.jsonl`` (``REPRO_CAMPAIGN_DIR``
+    overrides the directory)."""
     base = Path(os.environ.get(_ENV_DIR, _DEFAULT_DIR)) \
         if root is None else Path(root)
-    suffix = "duckdb" if duckdb_available() else "jsonl"
-    return base / f"results.{suffix}"
+    return base / "results.jsonl"
 
 
-def open_store(path: str | Path | None = None) -> "ResultsStore":
+def open_store(path: str | Path | None = None,
+               must_exist: bool = False) -> "JsonlStore":
     """Open (creating if needed) the results store at ``path``.
 
-    ``.duckdb`` paths require the ``campaign`` extra; when it is
-    absent the same path with a ``.jsonl`` suffix is opened instead —
-    graceful degrade, reported on the store's ``kind``/``path``.
+    JSONL is the one on-disk format: a ``.duckdb`` path opens its
+    ``.jsonl`` sibling.  With ``must_exist`` a missing store raises
+    :class:`ReproError` instead of being created.
     """
     path = default_store_path() if path is None else Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix == ".duckdb":
-        if duckdb_available():
-            return DuckDBStore(path)
-        return JsonlStore(path.with_suffix(".jsonl"))
+        path = path.with_suffix(".jsonl")
+    if must_exist:
+        if not path.exists():
+            raise ReproError(f"no campaign store at {path} (run "
+                             f"`repro campaign run <spec>` first)")
+    else:
+        path.parent.mkdir(parents=True, exist_ok=True)
     return JsonlStore(path)
 
 
@@ -118,65 +107,8 @@ def _header_line() -> str:
                             "schema": STORE_SCHEMA_VERSION})
 
 
-class ResultsStore:
-    """Common API of both store backends."""
-
-    kind = "abstract"
-
-    def __init__(self, path: Path) -> None:
-        self.path = Path(path)
-
-    # -- writes --------------------------------------------------------
-    def record_cell(self, record: dict) -> None:
-        raise NotImplementedError
-
-    def journal_event(self, event: dict) -> None:
-        raise NotImplementedError
-
-    # -- reads ---------------------------------------------------------
-    def completed_digests(self) -> set[str]:
-        raise NotImplementedError
-
-    def cells(self, experiment: str | None = None) -> list[dict]:
-        """Cell records (optionally one experiment), sorted by digest."""
-        raise NotImplementedError
-
-    def journal(self) -> list[dict]:
-        raise NotImplementedError
-
-    def query(self, sql: str) -> tuple[list[str], list[tuple]]:
-        """Run SQL against the store (DuckDB backend only)."""
-        raise ReproError(
-            "SQL queries need the DuckDB results store (pip install "
-            "repro[campaign]); the JSONL fallback supports "
-            "export/report/status only")
-
-    # -- shared --------------------------------------------------------
-    def export_canonical(self) -> str:
-        """Header plus cell records sorted by digest, as JSON lines.
-
-        Byte-identical for byte-identical campaign results, whatever
-        backend, worker count, or completion order produced them.
-        """
-        lines = [_header_line()]
-        lines.extend(_canonical_line(record) for record in self.cells())
-        return "\n".join(lines) + "\n"
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "ResultsStore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class JsonlStore(ResultsStore):
-    """The always-available fallback: canonical JSONL on disk.
+class JsonlStore:
+    """Canonical JSONL on disk.
 
     The cells file *is* the canonical export (header line, then cell
     records sorted by digest) and is rewritten atomically on every
@@ -187,7 +119,7 @@ class JsonlStore(ResultsStore):
     kind = "jsonl"
 
     def __init__(self, path: Path) -> None:
-        super().__init__(path)
+        self.path = Path(path)
         self._cells: dict[str, dict] = {}
         self._journal_path = self.path.with_suffix(".journal.jsonl")
         if self.path.exists():
@@ -225,6 +157,7 @@ class JsonlStore(ResultsStore):
         return set(self._cells)
 
     def cells(self, experiment: str | None = None) -> list[dict]:
+        """Cell records (optionally one experiment), sorted by digest."""
         records = [self._cells[digest] for digest in sorted(self._cells)]
         if experiment is not None:
             records = [r for r in records
@@ -243,88 +176,21 @@ class JsonlStore(ResultsStore):
         self.path.unlink(missing_ok=True)
         self._journal_path.unlink(missing_ok=True)
 
+    def export_canonical(self) -> str:
+        """Header plus cell records sorted by digest, as JSON lines.
 
-class DuckDBStore(ResultsStore):
-    """The queryable backend: cells, flattened rows, and the journal
-    as DuckDB tables, so ``repro campaign report`` regenerates the
-    paper tables with plain SQL."""
-
-    kind = "duckdb"
-
-    def __init__(self, path: Path) -> None:
-        super().__init__(path)
-        import duckdb
-
-        self._conn = duckdb.connect(str(path))
-        self._conn.execute("""
-            CREATE TABLE IF NOT EXISTS cells (
-                digest VARCHAR PRIMARY KEY,
-                experiment VARCHAR NOT NULL,
-                rows_sha256 VARCHAR NOT NULL,
-                record JSON NOT NULL)""")
-        self._conn.execute("""
-            CREATE TABLE IF NOT EXISTS rows (
-                digest VARCHAR NOT NULL,
-                experiment VARCHAR NOT NULL,
-                row_index INTEGER NOT NULL,
-                row JSON NOT NULL)""")
-        self._conn.execute("""
-            CREATE TABLE IF NOT EXISTS journal (
-                event JSON NOT NULL)""")
-
-    def record_cell(self, record: dict) -> None:
-        canonical = _canonical_line(record)
-        digest = record["digest"]
-        self._conn.execute("BEGIN")
-        try:
-            self._conn.execute("DELETE FROM rows WHERE digest = ?",
-                               [digest])
-            self._conn.execute("DELETE FROM cells WHERE digest = ?",
-                               [digest])
-            self._conn.execute(
-                "INSERT INTO cells VALUES (?, ?, ?, ?)",
-                [digest, record["experiment"], record["rows_sha256"],
-                 canonical])
-            for row_index, row in enumerate(record.get("rows", [])):
-                self._conn.execute(
-                    "INSERT INTO rows VALUES (?, ?, ?, ?)",
-                    [digest, record["experiment"], row_index,
-                     _canonical_line(row)])
-            self._conn.execute("COMMIT")
-        except Exception:
-            self._conn.execute("ROLLBACK")
-            raise
-
-    def journal_event(self, event: dict) -> None:
-        self._conn.execute("INSERT INTO journal VALUES (?)",
-                           [_canonical_line(event)])
-
-    def completed_digests(self) -> set[str]:
-        rows = self._conn.execute("SELECT digest FROM cells").fetchall()
-        return {digest for (digest,) in rows}
-
-    def cells(self, experiment: str | None = None) -> list[dict]:
-        if experiment is None:
-            cursor = self._conn.execute(
-                "SELECT record FROM cells ORDER BY digest")
-        else:
-            cursor = self._conn.execute(
-                "SELECT record FROM cells WHERE experiment = ? "
-                "ORDER BY digest", [experiment])
-        return [json.loads(record) for (record,) in cursor.fetchall()]
-
-    def journal(self) -> list[dict]:
-        cursor = self._conn.execute("SELECT event FROM journal")
-        return [json.loads(event) for (event,) in cursor.fetchall()]
-
-    def query(self, sql: str) -> tuple[list[str], list[tuple]]:
-        cursor = self._conn.execute(sql)
-        columns = [desc[0] for desc in cursor.description]
-        return columns, cursor.fetchall()
-
-    def clear(self) -> None:
-        for table in ("rows", "cells", "journal"):
-            self._conn.execute(f"DELETE FROM {table}")
+        Byte-identical for byte-identical campaign results, whatever
+        worker count or completion order produced them.
+        """
+        lines = [_header_line()]
+        lines.extend(_canonical_line(record) for record in self.cells())
+        return "\n".join(lines) + "\n"
 
     def close(self) -> None:
-        self._conn.close()
+        pass
+
+    def __enter__(self) -> "JsonlStore":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()

@@ -161,7 +161,6 @@ def _cmd_experiment(args) -> int:
 
     spec = ExperimentSpec(
         trials=args.trials, seed=args.seed, jobs=args.jobs,
-        backend=args.backend,
         trace_path=args.trace, metrics_path=args.metrics,
         manifest_path=args.manifest)
     result = run_experiment(args.name, spec)
@@ -271,8 +270,6 @@ def _cmd_campaign(args) -> int:
         run_campaign,
         write_report,
     )
-    from repro.campaign.store import default_store_path, duckdb_available
-
     if args.action == "run":
         if not args.spec:
             print("error: `repro campaign run` needs a spec file "
@@ -289,16 +286,7 @@ def _cmd_campaign(args) -> int:
         if args.cache_stats:
             _emit_cache_stats()
         return 0
-    store_path = Path(args.store) if args.store else default_store_path()
-    if store_path.suffix == ".duckdb" and not duckdb_available():
-        # mirror open_store's graceful degrade for the existence check
-        store_path = store_path.with_suffix(".jsonl")
-    if not store_path.exists():
-        print(f"error: no campaign store at {store_path} "
-              f"(run `repro campaign run <spec>` first)",
-              file=sys.stderr)
-        return 2
-    with open_store(store_path) as store:
+    with open_store(args.store, must_exist=True) as store:
         if args.action == "report":
             if args.output:
                 write_report(store, args.output, fmt=args.format)
@@ -458,12 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=None,
         help="random trials per row (where applicable; default: the "
              "driver's documented default)")
-    experiment.add_argument(
-        "--backend", choices=["numpy", "numba", "cupy"], default=None,
-        help="array backend for the run's kernels (default: the "
-             "process's active backend; an unavailable backend falls "
-             "back to numpy with a warning — rows are byte-identical "
-             "either way)")
     _add_observability_flags(experiment, manifest=True)
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -552,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--store", metavar="PATH",
         help="results store path (default: .repro-campaign/"
-             "results.duckdb, or .jsonl without the campaign extra)")
+             "results.jsonl; a .duckdb path opens its .jsonl sibling)")
     campaign.add_argument(
         "--max-cells", type=int, default=None,
         help="execute at most this many cells this invocation "

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.errors import DetectionError, GroupError
 from repro.core.configuration import Configuration
 from repro.core.signatures import cylindrical_signature, line_signature
+from repro.geometry.neighbors import neighbor_index
 from repro.geometry.tolerance import AXIS_NORM_FLOOR, DEFAULT_TOL, Tolerance
 from repro.groups.group import GroupKind, RotationGroup
 
@@ -59,12 +59,11 @@ def orbit_decomposition(config: Configuration, group: RotationGroup,
         # Identity-only action: every robot claims itself at distance
         # zero, exactly what the greedy matcher would produce.
         return [[i] for i in range(n)]
-    backend = get_backend()
     pts = np.asarray([np.asarray(p, dtype=float)
                       for p in config.points]) - c
     slack = _match_slack(config)
     stack = np.stack(group.elements)
-    tree = backend.neighbor_index(pts)
+    tree = neighbor_index(pts)
     radius = slack * (1.0 + AXIS_NORM_FLOOR)
     assigned = np.zeros(n, dtype=bool)
     orbits: list[list[int]] = []
@@ -73,8 +72,8 @@ def orbit_decomposition(config: Configuration, group: RotationGroup,
         if assigned[seed]:
             seed += 1
             continue
-        images = backend.einsum("gij,j->gi", stack, pts[seed])
-        hits = tree.query_ball(images, radius)
+        images = np.einsum("gij,j->gi", stack, pts[seed])
+        hits = tree.query_ball_point(images, radius)
         orbit: list[int] = []
         in_orbit = np.zeros(n, dtype=bool)
         for image, cand in zip(images, hits):

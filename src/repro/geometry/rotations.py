@@ -21,6 +21,7 @@ __all__ = [
     "rotation_angle",
     "rotation_axis",
     "rotation_aligning",
+    "kabsch",
     "random_rotation",
     "rotation_order",
 ]
@@ -127,6 +128,17 @@ def rotation_aligning(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         return rotation_about_axis(u, np.pi)
     angle = float(np.arctan2(s, c))
     return rotation_about_axis(cross, angle)
+
+
+def kabsch(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The rotation minimizing ``Σ |R src_i - dst_i|²`` (det +1)."""
+    h = np.asarray(src, dtype=float).T @ np.asarray(dst, dtype=float)
+    u, _, vt = np.linalg.svd(h)
+    rotation = vt.T @ u.T
+    if np.linalg.det(rotation) < 0.0:
+        correction = np.diag([1.0, 1.0, -1.0])
+        rotation = vt.T @ correction @ u.T
+    return rotation
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -26,14 +26,12 @@ candidate runs through one k-d tree query per batch instead of a
 per-point Python scan.  A cheap probe pass over the most constrained
 shell rejects most wrong candidates before the full-multiset check.
 
-Array work routes through the pluggable backend protocol
-(:func:`repro.backend.get_backend`): einsum contractions, lexsorts and
-nearest-neighbour queries are backend calls, so the detector runs
-unchanged on the NumPy reference backend and on the optional
-accelerator backends.  Two large-``n`` regimes get dedicated paths
-that the small-``n`` (oracle-pinned) workloads never enter: candidate
-pair generation switches from the dense ``s1 × s2`` dot matrix to
-k-d ball queries around a *nearest* reference pair
+Nearest-neighbour queries go through
+:func:`repro.geometry.neighbors.neighbor_index` (brute force for small
+supports, a k-d tree above the cutover).  Two large-``n`` regimes get
+dedicated paths that the small-``n`` (oracle-pinned) workloads never
+enter: candidate pair generation switches from the dense ``s1 × s2``
+dot matrix to k-d ball queries around a *nearest* reference pair
 (:func:`_pruned_pairs`), and verification of large candidate sets
 proceeds by generators plus group closure
 (:func:`_verify_by_closure`) instead of checking every candidate
@@ -48,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.errors import DetectionError
 from repro.geometry.balls import smallest_enclosing_ball
+from repro.geometry.neighbors import neighbor_index
 from repro.geometry.tolerance import AXIS_NORM_FLOOR, DEFAULT_TOL, Tolerance
 from repro.groups.axes import RotationAxis
 from repro.groups.group import (
@@ -152,7 +150,7 @@ def _collapse_multiset(points, slack: float):
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = len(pts)
-    pairs = get_backend().neighbor_index(pts).query_pairs(slack)
+    pairs = neighbor_index(pts).query_pairs(slack, output_type="ndarray")
     if pairs.size == 0:
         return pts.copy(), np.ones(n, dtype=np.int64)
 
@@ -342,7 +340,7 @@ def _shell_slices(radii, mults, slack: float) -> tuple[np.ndarray,
     idx = np.nonzero(radii > slack)[0]
     if idx.size == 0:
         return idx, np.zeros(1, dtype=np.int64)
-    order = get_backend().lexsort((radii[idx], mults[idx]))
+    order = np.lexsort((radii[idx], mults[idx]))
     idx = idx[order]
     r_sorted = radii[idx]
     m_sorted = mults[idx]
@@ -378,8 +376,7 @@ class _BatchVerifier:
         self.rel = rel
         self.mults = mults
         self.check_slack = check_slack
-        self.backend = get_backend()
-        self.tree = self.backend.neighbor_index(rel)
+        self.tree = neighbor_index(rel)
         # The probe is a necessary-condition prefilter (every probe
         # point must land on an equal-multiplicity point), so any
         # subset yields identical final verdicts; capping its size
@@ -398,7 +395,7 @@ class _BatchVerifier:
         block = max(1, _VERIFY_BLOCK // max(m, 1))
         for start in range(0, count, block):
             chunk = rots[start:start + block]
-            images = self.backend.einsum("cij,mj->cmi", chunk, points)
+            images = np.einsum("cij,mj->cmi", chunk, points)
             dist, idx = self.tree.query(
                 images.reshape(-1, 3), k=1,
                 distance_upper_bound=self.check_slack
@@ -559,7 +556,6 @@ def _pruned_pairs(rel, radii, anchor_shell, second_shell, dot12: float,
     adversarial geometry; blowing it falls back to the blocked dense
     sweep, never to a wrong answer.
     """
-    backend = get_backend()
     first_points = rel[anchor_shell]
     second_points = rel[second_shell]
     r1max = float(radii[anchor_shell].max())
@@ -569,8 +565,8 @@ def _pruned_pairs(rel, radii, anchor_shell, second_shell, dot12: float,
         return _dense_pairs_blocked(first_points, second_points, dot12,
                                     threshold)
     radius = math.sqrt(sep_sq) * (1.0 + AXIS_NORM_FLOOR)
-    tree = backend.neighbor_index(second_points)
-    hits = tree.query_ball(first_points, radius)
+    tree = neighbor_index(second_points)
+    hits = tree.query_ball_point(first_points, radius)
     counts = [len(h) for h in hits]
     total = sum(counts)
     if total > 64 * len(first_points) + 65_536:
@@ -583,7 +579,7 @@ def _pruned_pairs(rel, radii, anchor_shell, second_shell, dot12: float,
                          if len(h)])
     q1s = first_points[ii]
     q2s = second_points[jj]
-    dots = backend.einsum("ij,ij->i", q1s, q2s)
+    dots = np.einsum("ij,ij->i", q1s, q2s)
     keep = np.abs(dots - dot12) <= threshold
     return q1s[keep], q2s[keep]
 
@@ -663,7 +659,7 @@ def _verify_by_closure(candidates: np.ndarray, verifier: _BatchVerifier,
     correctness.
     """
     angles = batch_rotation_angles(candidates)
-    order = get_backend().argsort(angles)
+    order = np.argsort(angles)
     plausible = verifier.probe_pass(candidates)
     checks = 0
     leftover = []
@@ -813,13 +809,12 @@ def align_rotation(src_rel, src_mults, src_radii,
     if not len(candidates):
         return None
 
-    backend = get_backend()
-    tree = backend.neighbor_index(dst_rel)
+    tree = neighbor_index(dst_rel)
     m = len(src_rel)
     block = max(1, _VERIFY_BLOCK // max(m, 1))
     for start in range(0, len(candidates), block):
         chunk = candidates[start:start + block]
-        images = backend.einsum("cij,mj->cmi", chunk, src_rel)
+        images = np.einsum("cij,mj->cmi", chunk, src_rel)
         dist, idx = tree.query(
             images.reshape(-1, 3), k=1,
             distance_upper_bound=check_slack

@@ -1,6 +1,6 @@
 """reprolint — domain-specific static analysis for the reproduction.
 
-Seven file-local AST rules plus four cross-module dataflow rules
+Six file-local AST rules plus four cross-module dataflow rules
 turn the model's semantic invariants into compile-time failures (see
 ``docs/STATIC_ANALYSIS.md``):
 
@@ -15,8 +15,6 @@ REP004      seeding discipline: every stream descends from a seeded
             ``SeedSequence``; ``spawn`` is the only fan-out
 REP005      row determinism: no wall-clock, unsorted filesystem
             listings, or hash-order iteration feeding experiment rows
-REP006      backend purity: kernels reach numpy/scipy/numba/cupy
-            only through the ``repro.backend`` protocol
 REP007      campaign purity: cell digests derive only from the
             deterministic spec record
 REP008      determinism taint: no clock/identity/set-order value
@@ -31,9 +29,10 @@ REP011      facade contract: public ``repro.api``/``repro.campaign``
             ``ExperimentSpec``
 ==========  =========================================================
 
-REP001–REP007 are pure functions of one file; REP008–REP011 run on
-the whole-project IR built by :mod:`repro.lint.project` and flow
-values through :mod:`repro.lint.dataflow` (incrementally cached with
+REP001–REP005 and REP007 are pure functions of one file;
+REP008–REP011 run on the whole-project IR built by
+:mod:`repro.lint.project` and flow values through
+:mod:`repro.lint.dataflow` (incrementally cached with
 ``--cache-dir``; SARIF output with ``--format sarif``).
 
 Suppress a false positive inline, justification mandatory::

@@ -1,6 +1,6 @@
 """Project model for reprolint's cross-module engine.
 
-The file-local rules (REP001-REP007) are pure functions of one
+The file-local rules (REP001-REP005, REP007) are pure functions of one
 :class:`~repro.lint.framework.FileContext`; the cross-module rules
 (REP008-REP011) need a *project*: which modules exist, what each one
 imports, which functions call which, and how values flow between

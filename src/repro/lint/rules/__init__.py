@@ -7,7 +7,6 @@ id order.  New rules register here; ids are never reused.
 from __future__ import annotations
 
 from repro.lint.framework import Rule
-from repro.lint.rules.backend_purity import BackendPurity
 from repro.lint.rules.cache_purity import CachePurity
 from repro.lint.rules.campaign_purity import CampaignPurity
 from repro.lint.rules.determinism import RowDeterminism
@@ -27,7 +26,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     CachePurity,
     SeedingDiscipline,
     RowDeterminism,
-    BackendPurity,
     CampaignPurity,
     DeterminismTaintRule,
     SeedProvenanceRule,

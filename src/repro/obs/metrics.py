@@ -22,12 +22,12 @@ flattens them into the same ``name -> value`` namespace
 counters through :func:`l1_snapshot`/:func:`l1_delta`, so their
 numbers can never disagree.
 
-The array-backend layer (:mod:`repro.backend`) counts its kernel
-calls, fallbacks and device transfers on the ``backend.*`` namespace.
-Those are *performance* counters, not logical ones: how many einsum
-or lexsort calls a run issues depends on cache luck (a cold worker
-cache redoes detections a warm inline cache would have served), so
-they are jobs-dependent by nature.  :func:`split_performance`
+The kernels' neighbour indexes (:mod:`repro.geometry.neighbors`)
+count the dense/k-d split on the ``backend.neighbor_index.*``
+namespace.  Those are *performance* counters, not logical ones: how
+many indexes a run builds depends on cache luck (a cold worker cache
+redoes detections a warm inline cache would have served), so they
+are jobs-dependent by nature.  :func:`split_performance`
 separates them from the logical counters and the run façade reports
 them beside the cache hierarchy — in the ``backend`` section of the
 metrics artifact and the ``--cache-stats`` render — never inside the
@@ -57,9 +57,8 @@ __all__ = [
     "write_metrics",
 ]
 
-#: Counter namespaces that measure performance (kernel calls issued,
-#: fallbacks taken, device transfers paid) rather than logical model
-#: events.  Performance counters depend on cache luck and therefore on
+#: Counter namespaces that measure performance (neighbour indexes
+#: built, dense indexes promoted) rather than logical model events.  Performance counters depend on cache luck and therefore on
 #: the ``--jobs`` partition; the jobs-invariance contract only covers
 #: the logical remainder.  The ``serve.`` namespace (queue depth,
 #: coalesce hits, deadline misses) is scheduling-dependent for the
@@ -272,7 +271,7 @@ def backend_metrics() -> dict[str, int]:
     counters = _default_registry.snapshot()["counters"]
     flat = dict(split_performance(counters)[1])
     if any(name.startswith("backend.neighbor_index.") for name in flat):
-        from repro.backend.base import DENSE_INDEX_CUTOVER
+        from repro.geometry.neighbors import DENSE_INDEX_CUTOVER
 
         flat["backend.neighbor_index.dense_cutover"] = DENSE_INDEX_CUTOVER
     return dict(sorted(flat.items()))

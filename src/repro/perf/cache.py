@@ -200,19 +200,14 @@ def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
 
     _stats["symmetry"]["misses"] += 1
     # L2: the detected group is a pure function of the exact
-    # center-relative array, multiplicities, ball radius, tolerance —
-    # and the active array backend, whose kernels may round detection
-    # arithmetic differently, so its name is part of the key (the one
-    # L2 payload whose bytes are backend-dependent) — siblings of a
-    # parallel run observing byte-identical world configurations share
-    # one detection.
-    from repro.backend import backend_name
+    # center-relative array, multiplicities, ball radius and
+    # tolerance — siblings of a parallel run observing byte-identical
+    # world configurations share one detection.
     from repro.perf import shared as _shared
 
     report.group = _shared.shared_get_or_compute(
         "gamma",
-        (b"gamma", backend_name().encode("ascii"), pre.rel, mults,
-         float(pre.ball.radius), _tol_key(tol)),
+        (b"gamma", pre.rel, mults, float(pre.ball.radius), _tol_key(tol)),
         lambda: _detection._finish_finite_report(report, pre, tol).group)
     entry = _ClassEntry(rel_unit=rel_unit, mults=mults,
                         radii_unit=radii_unit,

@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.geometry.rotations import kabsch
+
 __all__ = [
     "RoundView",
     "cached_equivariant_points",
@@ -132,13 +134,6 @@ def round_cache_bytes() -> int:
     return total
 
 
-def _kabsch(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The rotation minimizing ``Σ |R src_i - dst_i|²`` (det +1)."""
-    from repro.backend import get_backend
-
-    return get_backend().kabsch(src, dst)
-
-
 def round_view(config) -> RoundView | None:
     """Find-or-create the indexed entry for ``config`` (certified).
 
@@ -177,7 +172,7 @@ def round_view(config) -> RoundView | None:
         for entry in bucket:
             if np.abs(entry.radii_sorted - radii_sorted).max() > slack:
                 continue
-            rotation = _kabsch(entry.rel_unit, rel_unit)
+            rotation = kabsch(entry.rel_unit, rel_unit)
             deviation = np.linalg.norm(
                 entry.rel_unit @ rotation.T - rel_unit, axis=1)
             if deviation.max() > slack:
@@ -279,7 +274,6 @@ def _conjugated_report(prev_config, prev_report, new_config):
     rotation with Kabsch residual under the motion slack; and the
     conjugated group verifies against the new multiset.
     """
-    from repro.backend import get_backend
     from repro.groups import detection as _detection
     from repro.perf import cache as _cache
 
@@ -321,11 +315,10 @@ def _conjugated_report(prev_config, prev_report, new_config):
         scale_of[members] = (float(pre.radii[members].mean())
                              / float(prev_radii[members].mean()))
 
-    backend = get_backend()
     off = np.sort(p_idx)
     src = prev_rel[off]
     dst = pre.rel[off] / scale_of[off, None]
-    rotation = backend.kabsch(src, dst)
+    rotation = kabsch(src, dst)
     residual = np.linalg.norm(src @ rotation.T - dst, axis=1)
     if float(residual.max()) > tol.motion_slack(float(pre.ball.radius)):
         return None

@@ -11,8 +11,8 @@ a chirality rule: among tied targets ``f, f'`` the robot picks the one
 with positive triple product ``det[p - c, f - c, f' - c]`` — a
 rotation-invariant, handedness-aware rule all robots share.
 
-Point-set membership tests run on the active array backend's
-neighbour index (:func:`repro.backend.get_backend`) and the
+Point-set membership tests run on a sized neighbour index
+(:func:`repro.geometry.neighbors.neighbor_index`) and the
 distance/triple-product profiles on batched array kernels; the greedy
 orderings and the Lemma 14 tie-break are semantically identical to the
 straightforward quadratic loops (pinned by the property tests against
@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import get_backend
-from repro.backend.base import NeighborIndex
 from repro.core.configuration import Configuration
 from repro.core.local_views import local_view, ordered_orbits
 from repro.errors import MatchingError
+from repro.geometry.neighbors import neighbor_index
 from repro.geometry.tolerance import DEFAULT_TOL, canonical_round
 from repro.groups.group import RotationGroup
 
@@ -95,7 +94,7 @@ def _same_point_set(a, b, slack) -> bool:
     b_arr = np.asarray(b, dtype=float)
     if a_arr.shape != b_arr.shape:
         return False
-    candidates = get_backend().neighbor_index(b_arr).query_ball(a_arr, slack)
+    candidates = neighbor_index(b_arr).query_ball_point(a_arr, slack)
     used = [False] * len(b_arr)
     for near in candidates:
         hit = None
@@ -118,7 +117,7 @@ def _collapse(points, slack):
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
-    neighbors = get_backend().neighbor_index(pts).query_ball(pts, slack)
+    neighbors = neighbor_index(pts).query_ball_point(pts, slack)
     distinct: list[np.ndarray] = []
     multiplicities: list[int] = []
     slot_of: dict[int, int] = {}
@@ -149,7 +148,7 @@ def _target_position_orbits(config, group: RotationGroup, positions,
     position; ``capacity`` counts how many P-orbits the entry absorbs.
     """
     center = config.center
-    tree = get_backend().neighbor_index(np.asarray(positions, dtype=float))
+    tree = neighbor_index(np.asarray(positions, dtype=float))
     unassigned = list(range(len(positions)))
     orbits: list[list[int]] = []
     while unassigned:
@@ -286,8 +285,8 @@ def _orbit_chiral_key(config, positions) -> tuple:
     return tuple(profile)
 
 
-def _find_index(tree: NeighborIndex, image, slack) -> int | None:
-    near = tree.query_ball(np.asarray(image, dtype=float), 10 * slack)
+def _find_index(tree, image, slack) -> int | None:
+    near = tree.query_ball_point(np.asarray(image, dtype=float), 10 * slack)
     return min(near) if near else None
 
 
@@ -320,7 +319,7 @@ def _match_within_orbit(config, group, orbit, positions, per_position,
     center = config.center
     pts = np.asarray([config.points[r] for r in orbit], dtype=float)
     pos = np.asarray(positions, dtype=float)
-    dists = get_backend().pairwise_distances(pts, pos)
+    dists = np.linalg.norm(pts[:, None, :] - pos[None, :, :], axis=2)
     tied_mask = dists <= dists.min(axis=1, keepdims=True) + 10 * slack
 
     chosen: dict[int, int] = {}

@@ -208,10 +208,8 @@ class BatchView:
         One einsum over the stacked frames —
         ``d_i = R_iᵀ (w_i - p_i) / s_i`` for every robot at once.
         """
-        from repro.backend import get_backend
-
         rel = np.asarray(world_points, dtype=float) - self.points
-        d = get_backend().einsum("nji,nj->ni", self.rotations, rel)
+        d = np.einsum("nji,nj->ni", self.rotations, rel)
         return d / self.scales[:, None]
 
     def to_local_rows(self, indices, world_points: np.ndarray) -> np.ndarray:
@@ -221,11 +219,9 @@ class BatchView:
         ``indices[j]``; the result row ``j`` is that destination in
         robot ``indices[j]``'s frame.
         """
-        from repro.backend import get_backend
-
         idx = np.asarray(indices, dtype=int)
         rel = np.asarray(world_points, dtype=float) - self.points[idx]
-        d = get_backend().einsum("nji,nj->ni", self.rotations[idx], rel)
+        d = np.einsum("nji,nj->ni", self.rotations[idx], rel)
         return d / self.scales[idx, None]
 
 

@@ -33,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend import get_backend
 from repro.core.configuration import Configuration
 from repro.errors import SimulationError
 from repro.geometry.tolerance import DEFAULT_TOL
@@ -176,7 +175,7 @@ class FsyncScheduler:
                 # local[i, k] = R_iᵀ (p_k - p_i) / s_i, via the folded
                 # view matrices: rel[i] @ (R_i / s_i) for all i in one
                 # BLAS batched matmul (see __init__).
-                local = get_backend().matmul(rel, self._view_mats)
+                local = np.matmul(rel, self._view_mats)
                 local.setflags(write=False)
             with tracer.span("compute", n=n):
                 local_dest = self._compute_batched(pts, local)
@@ -184,8 +183,8 @@ class FsyncScheduler:
                     local_dest = self._compute_per_robot(local)
                 # One batched to_world over the stacked frames:
                 # w_i = p_i + s_i R_i d_i for all robots at once.
-                world_targets = pts + self._scales[:, None] * get_backend(
-                    ).einsum("nij,nj->ni", self._rotations, local_dest)
+                world_targets = pts + self._scales[:, None] * np.einsum(
+                    "nij,nj->ni", self._rotations, local_dest)
             with tracer.span("move", n=n):
                 execute_batch = getattr(self.movement, "execute_batch",
                                         None)

@@ -27,7 +27,10 @@ fields a run query carries on the wire.  REP011 checks it against the
 spec dataclass (no drift: a wire field with no spec field would be
 silently dropped) and against the campaign's ``GRID_AXES`` (the wire
 must be able to express any campaign axis).  Artifact paths are
-deliberately absent: a server never writes client-named files.
+deliberately absent: a server never writes client-named files.  So is
+``jobs``: a served run executes its trials inline in one server worker
+(rows are identical for any ``jobs``), so a client cannot make the
+server fork a pool inside its pool.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ WIRE_SCHEMA_VERSION = 1
 #: ExperimentSpec fields a RunQuery carries on the wire, in spec
 #: declaration order.  Checked by REP011 against the dataclass fields
 #: and the campaign GRID_AXES.
-SPEC_WIRE_FIELDS = ("trials", "seed", "jobs", "cache", "backend",
-                    "schema_version")
+SPEC_WIRE_FIELDS = ("trials", "seed", "cache", "schema_version")
 
 
 def _encode_points(points: Any) -> Any:

@@ -2,31 +2,29 @@
 
 import pytest
 
-from repro.analysis.experiments import (
-    GOC_POLYHEDRA,
-    baseline_2d_experiment,
-    figure1_experiment,
-    lemma7_experiment,
-    plane_formation_experiment,
-    theorem41_experiment,
-)
+from repro.analysis.experiments import GOC_POLYHEDRA
+from repro.api import ExperimentSpec, run_experiment
+
+
+def _rows(name: str, **spec) -> list:
+    return run_experiment(name, ExperimentSpec(**spec)).rows
 
 
 class TestLemma7Driver:
     def test_small_run(self):
-        rows = lemma7_experiment(trials=1)
+        rows = _rows("lemma7", trials=1)
         assert len(rows) == len(GOC_POLYHEDRA)
         assert all(row["all_in_rho"] for row in rows)
 
     def test_distribution_counts_sum(self):
-        rows = lemma7_experiment(trials=2)
+        rows = _rows("lemma7", trials=2)
         for row in rows:
             assert sum(row["gamma_after"].values()) == 2
 
 
 class TestTheorem41Driver:
     def test_small_run(self):
-        rows = theorem41_experiment(trials=1)
+        rows = _rows("theorem41", trials=1)
         assert all(row["bound_7_holds"] for row in rows)
         assert all(row["gamma_in_rho"] for row in rows)
         assert any(row["initial"] == "cube+octahedron" for row in rows)
@@ -34,7 +32,7 @@ class TestTheorem41Driver:
 
 class TestFigure1Driver:
     def test_small_run(self):
-        rows = figure1_experiment(trials=1)
+        rows = _rows("figure1", trials=1)
         assert {row["target"] for row in rows} == {
             "octagon", "square_antiprism"}
         for row in rows:
@@ -44,7 +42,7 @@ class TestFigure1Driver:
 
 class TestPlaneFormationDriver:
     def test_matches_disc2015(self):
-        rows = {r["initial"]: r for r in plane_formation_experiment()}
+        rows = {r["initial"]: r for r in _rows("plane_formation")}
         assert not rows["cuboctahedron"]["plane_formable"]
         assert not rows["icosahedron"]["plane_formable"]
         assert rows["cube"]["formed"]
@@ -52,7 +50,7 @@ class TestPlaneFormationDriver:
 
 class Test2DDriver:
     def test_predictions_consistent(self):
-        for row in baseline_2d_experiment():
+        for row in _rows("baseline_2d"):
             assert row["predicted"] == (row["rho_F"] % row["rho_P"] == 0)
             if row["predicted"]:
                 assert row["formed"]

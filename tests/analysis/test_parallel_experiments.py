@@ -15,7 +15,7 @@ import pytest
 import numpy as np
 
 from repro import perf
-from repro.analysis import experiments
+from repro.api import ExperimentSpec, run_experiment
 from repro.errors import SimulationError
 from repro.perf import parallel_map, seeded_trials, spawn_seeds
 
@@ -82,22 +82,26 @@ class TestParallelMap:
             parallel_map(_die, list(range(4)), jobs=2)
 
 
+def _rows(name: str, **spec) -> list:
+    return run_experiment(name, ExperimentSpec(**spec)).rows
+
+
 class TestDriverDeterminism:
     def test_lemma7_rows_identical_for_any_jobs(self):
-        serial = experiments.lemma7_experiment(trials=3, seed=0, jobs=1)
-        fanned = experiments.lemma7_experiment(trials=3, seed=0, jobs=4)
+        serial = _rows("lemma7", trials=3, seed=0, jobs=1)
+        fanned = _rows("lemma7", trials=3, seed=0, jobs=4)
         assert json.dumps(serial, default=str) == \
             json.dumps(fanned, default=str)
 
     def test_figure1_rows_identical_for_any_jobs(self):
-        serial = experiments.figure1_experiment(trials=2, seed=1, jobs=1)
-        fanned = experiments.figure1_experiment(trials=2, seed=1, jobs=4)
+        serial = _rows("figure1", trials=2, seed=1, jobs=1)
+        fanned = _rows("figure1", trials=2, seed=1, jobs=4)
         assert json.dumps(serial, default=str) == \
             json.dumps(fanned, default=str)
 
     def test_theorem11_rows_identical_for_any_jobs(self):
-        serial = experiments.theorem11_experiment(seed=0, jobs=1)
-        fanned = experiments.theorem11_experiment(seed=0, jobs=4)
+        serial = _rows("theorem11", seed=0, jobs=1)
+        fanned = _rows("theorem11", seed=0, jobs=4)
         assert [asdict(r) for r in serial] == [asdict(r) for r in fanned]
 
 

@@ -10,7 +10,6 @@ from repro.campaign import (
     run_campaign,
     write_report,
 )
-from repro.campaign.report import section_sql
 from repro.errors import ReproError
 
 
@@ -39,11 +38,6 @@ class TestMarkdown:
         assert "## baseline_2d" in report
         assert "## lemma7" in report
         assert "3 completed cells" in report
-
-    def test_sections_carry_their_sql(self, populated_store):
-        report = generate_report(populated_store)
-        assert section_sql("lemma7") in report
-        assert "```sql" in report
 
     def test_rows_tabulated_with_digest_key(self, populated_store):
         report = generate_report(populated_store)

@@ -79,6 +79,13 @@ class TestErrors:
                 "experiments": [{"name": "lemma7", "jobs": 4}],
             })
 
+    def test_backend_is_not_an_axis(self):
+        with pytest.raises(ReproError, match="unknown keys: backend"):
+            campaign_from_mapping({
+                "name": "x",
+                "experiments": [{"name": "lemma7", "backend": "numpy"}],
+            })
+
     def test_unknown_entry_key(self):
         with pytest.raises(ReproError, match="unknown keys"):
             campaign_from_mapping({
@@ -130,6 +137,18 @@ class TestLoading:
         assert len(paper.cells) >= 10
         smoke = load_campaign(examples / "campaign-smoke.toml")
         assert len(smoke.cells) == 4
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", -1), ("trials", "x"), ("seed", -3), ("cache", 1)])
+    def test_malformed_spec_values_fail_to_load(self, tmp_path, field,
+                                                value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "name": "bad",
+            "experiments": [{"name": "lemma7", field: value}],
+        }), encoding="utf-8")
+        with pytest.raises(ReproError, match=f"spec '{field}'"):
+            load_campaign(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ReproError, match="does not exist"):

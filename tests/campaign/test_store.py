@@ -1,6 +1,4 @@
-"""Results stores: the JSONL fallback (always live) and, when the
-optional ``campaign`` extra is installed, the DuckDB backend serving
-the identical store API."""
+"""The campaign results store: canonical JSONL on disk."""
 
 from __future__ import annotations
 
@@ -12,7 +10,7 @@ from repro.campaign.store import (
     STORE_SCHEMA_VERSION,
     JsonlStore,
     build_cell_record,
-    duckdb_available,
+    default_store_path,
     open_store,
 )
 from repro.errors import ReproError
@@ -89,20 +87,27 @@ class TestJsonlStore:
         with pytest.raises(ReproError, match="schema"):
             JsonlStore(path)
 
-    def test_query_unsupported(self, tmp_path):
-        with open_store(tmp_path / "r.jsonl") as store:
-            with pytest.raises(ReproError, match="DuckDB"):
-                store.query("SELECT 1")
+    def test_version_1_store_refused(self, tmp_path):
+        # Version-1 cell digests covered an array-backend name; resuming
+        # such a store would run every cell a second time.
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps({"kind": "campaign-store",
+                                    "schema": 1}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ReproError, match="schema 1"):
+            open_store(path)
 
     def test_duckdb_path_degrades_without_extra(self, tmp_path):
-        if duckdb_available():
-            pytest.skip("duckdb installed; degrade path not reachable")
         store = open_store(tmp_path / "results.duckdb")
         try:
             assert store.kind == "jsonl"
             assert store.path.suffix == ".jsonl"
         finally:
             store.close()
+
+    def test_default_path_is_jsonl(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))
+        assert default_store_path() == tmp_path / "results.jsonl"
 
 
 class TestBuildCellRecord:
@@ -124,36 +129,3 @@ class TestBuildCellRecord:
         assert all(not key.startswith("backend.")
                    for key in record["metrics"])
         json.dumps(record)  # jsonable as-is
-
-
-class TestDuckDBStore:
-    @pytest.fixture
-    def store(self, tmp_path):
-        pytest.importorskip("duckdb")
-        with open_store(tmp_path / "results.duckdb") as handle:
-            yield handle
-
-    def test_same_api_as_jsonl(self, store):
-        assert store.kind == "duckdb"
-        store.record_cell(_record("b" * 64))
-        store.record_cell(_record("a" * 64, "baseline_2d"))
-        assert store.completed_digests() == {"a" * 64, "b" * 64}
-        assert [c["digest"] for c in store.cells()] == \
-            ["a" * 64, "b" * 64]
-
-    def test_rows_table_queryable(self, store):
-        store.record_cell(_record("a" * 64,
-                                  rows=[{"trial": 0}, {"trial": 1}]))
-        columns, records = store.query(
-            "SELECT digest, row_index FROM rows ORDER BY row_index")
-        assert columns == ["digest", "row_index"]
-        assert records == [("a" * 64, 0), ("a" * 64, 1)]
-
-    def test_export_matches_jsonl_backend(self, store, tmp_path):
-        records = [_record("b" * 64), _record("a" * 64, "baseline_2d")]
-        for record in records:
-            store.record_cell(record)
-        with open_store(tmp_path / "r.jsonl") as jsonl:
-            for record in records:
-                jsonl.record_cell(record)
-            assert store.export_canonical() == jsonl.export_canonical()

@@ -1,47 +1,22 @@
-"""The array-backend protocol: probing, fallback, counters, equivalence.
+"""The NumPy/SciPy building blocks of the hot kernels and their
+``backend`` performance counters: the sized neighbour index
+(:mod:`repro.geometry.neighbors`) and the Kabsch solve.
 
-The equivalence classes parametrize over every backend the current
-environment can actually run (others skip cleanly — the CI
-optional-deps leg installs numba so the parametrized cases light up
-there).  Oracles are the exact NumPy expressions the kernels used
-before the port; the reference backend must match them *byte for
-byte*, accelerators to tight float tolerance.
+Oracles are ``scipy.spatial.cKDTree`` and the frozen Kabsch
+expression; both must match byte for byte, which is what keeps the
+frozen-oracle equivalence suites stable.
 """
 
-import warnings
-
 import numpy as np
-import pytest
 from scipy.spatial import cKDTree
 
-from repro import perf
-from repro.backend import (
-    available_backends,
-    backend_name,
-    get_backend,
-    set_backend,
+from repro.geometry.neighbors import (
+    DENSE_INDEX_CUTOVER,
+    DenseNeighborIndex,
+    neighbor_index,
 )
-from repro.backend.base import ArrayBackend, NeighborIndex
-from repro.backend.numpy_backend import NumpyBackend
-from repro.core.configuration import Configuration
+from repro.geometry.rotations import kabsch
 from repro.obs import metrics as _metrics
-from repro.patterns.library import named_pattern
-
-AVAILABLE = available_backends()
-
-BACKEND_PARAMS = [
-    pytest.param(name, marks=pytest.mark.skipif(
-        not AVAILABLE[name], reason=f"backend {name!r} unavailable"))
-    for name in sorted(AVAILABLE)
-]
-
-
-@pytest.fixture(autouse=True)
-def restore_numpy_backend():
-    yield
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        set_backend("numpy")
 
 
 def _rng():
@@ -52,163 +27,54 @@ def _points(rng, n):
     return rng.normal(size=(n, 3))
 
 
-def _assert_matches(name, result, oracle):
-    """Bit-identity for the reference backend, tight agreement else."""
-    result = np.asarray(result)
-    oracle = np.asarray(oracle)
-    assert result.shape == oracle.shape
-    if name == "numpy":
-        assert result.tobytes() == oracle.tobytes()
-    else:
-        np.testing.assert_allclose(result, oracle, rtol=0, atol=5e-13)
-
-
-class TestProbing:
-    def test_numpy_reference_always_available(self):
-        assert AVAILABLE["numpy"] is True
-        assert NumpyBackend.is_available() is True
-
-    def test_registry_names(self):
-        assert set(AVAILABLE) == {"numpy", "numba", "cupy"}
-
-    def test_abstract_base_is_never_available(self):
-        assert ArrayBackend.is_available() is False
-
-    def test_default_backend_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert set_backend(None).name == "numpy"
-        assert backend_name() == "numpy"
-        assert isinstance(get_backend(), NumpyBackend)
-
-    def test_capabilities_are_informational(self):
-        caps = set_backend("numpy").capabilities()
-        assert caps["name"] == "numpy"
-        assert caps["device"] == "cpu"
-
-
-class TestFallback:
-    def test_unknown_backend_falls_back_with_warning(self):
-        before = _metrics.backend_metrics().get("backend.fallbacks", 0)
-        with pytest.warns(RuntimeWarning, match="unknown backend"):
-            resolved = set_backend("no-such-accelerator")
-        assert resolved.name == "numpy"
-        after = _metrics.backend_metrics().get("backend.fallbacks", 0)
-        assert after == before + 1
-
-    @pytest.mark.skipif(AVAILABLE["numba"],
-                        reason="numba installed; fallback not exercised")
-    def test_missing_numba_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="not available"):
-            resolved = set_backend("numba")
-        assert resolved.name == "numpy"
-
-    @pytest.mark.skipif(AVAILABLE["cupy"],
-                        reason="cupy installed; fallback not exercised")
-    def test_missing_cupy_falls_back_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="not available"):
-            resolved = set_backend("cupy")
-        assert resolved.name == "numpy"
-
-    def test_env_var_resolution(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert set_backend(None).name == "numpy"
-
-
 class TestCounters:
-    def test_ops_count_into_backend_calls(self):
-        backend = set_backend("numpy")
-        rng = _rng()
-        pts = _points(rng, 16)
-        before = _metrics.backend_metrics()
-        backend.einsum("gij,j->gi", np.stack([np.eye(3)] * 4), pts[0])
-        backend.pairwise_distances(pts, pts)
-        backend.argsort(pts[:, 0])
-        backend.lexsort((pts[:, 0],))
-        backend.kabsch(pts, pts)
-        backend.neighbor_index(pts)
-        after = _metrics.backend_metrics()
-        for op in ("einsum", "pairwise_distances", "argsort",
-                   "lexsort", "kabsch", "neighbor_index"):
-            key = f"backend.calls.{op}"
-            assert after.get(key, 0) == before.get(key, 0) + 1
-
     def test_backend_counters_are_performance_not_logical(self):
         logical, performance = _metrics.split_performance(
-            {"backend.calls.einsum": 3, "scheduler.rounds": 2})
-        assert "backend.calls.einsum" in performance
-        assert "backend.calls.einsum" not in logical
+            {"backend.neighbor_index.dense": 3, "scheduler.rounds": 2})
+        assert "backend.neighbor_index.dense" in performance
+        assert "backend.neighbor_index.dense" not in logical
         assert "scheduler.rounds" in logical
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("name", BACKEND_PARAMS)
-    def test_einsum_specs(self, name):
-        backend = set_backend(name)
-        rng = _rng()
-        rots = np.linalg.qr(rng.normal(size=(5, 3, 3)))[0]
-        pts = _points(rng, 7)
-        for spec, operands in (
-                ("cij,mj->cmi", (rots, pts)),
-                ("nji,nkj->nki", (rots, rng.normal(size=(5, 7, 3)))),
-                ("gij,j->gi", (rots, pts[0])),
-        ):
-            _assert_matches(name, backend.einsum(spec, *operands),
-                            np.einsum(spec, *operands))
-
-    @pytest.mark.parametrize("name", BACKEND_PARAMS)
-    def test_pairwise_distances(self, name):
-        backend = set_backend(name)
-        rng = _rng()
-        a, b = _points(rng, 20), _points(rng, 11)
-        oracle = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-        _assert_matches(name, backend.pairwise_distances(a, b), oracle)
-
-    @pytest.mark.parametrize("name", BACKEND_PARAMS)
-    def test_sorting(self, name):
-        backend = set_backend(name)
-        rng = _rng()
-        values = rng.normal(size=64)
-        keys = (rng.integers(0, 4, size=64).astype(float), values)
-        # Permutations are integer outputs: exact for every backend.
-        assert np.array_equal(backend.argsort(values),
-                              np.argsort(values, kind="stable"))
-        assert np.array_equal(backend.lexsort(keys), np.lexsort(keys))
-
-    @pytest.mark.parametrize("name", BACKEND_PARAMS)
-    def test_kabsch(self, name):
-        backend = set_backend(name)
+    def test_kabsch(self):
         rng = _rng()
         src = _points(rng, 12)
         rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
         rot *= np.linalg.det(rot)  # force det +1
         dst = src @ rot.T
-        solved = backend.kabsch(src, dst)
+        solved = kabsch(src, dst)
         np.testing.assert_allclose(solved, rot, atol=1e-10)
         assert np.linalg.det(solved) > 0
         # Byte-stability against the frozen oracle expression.
         u, _, vt = np.linalg.svd(src.T @ dst)
         d = np.sign(np.linalg.det(vt.T @ u.T))
         oracle = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-        _assert_matches(name, solved, oracle)
+        assert solved.tobytes() == oracle.tobytes()
 
-    @pytest.mark.parametrize("name", BACKEND_PARAMS)
-    def test_neighbor_index(self, name):
-        backend = set_backend(name)
+    def test_neighbor_index(self):
+        # Dense below the cutover, the k-d tree above it: both answer
+        # every query exactly like scipy's cKDTree.
         rng = _rng()
-        stored, queries = _points(rng, 30), _points(rng, 9)
-        index = backend.neighbor_index(stored)
-        assert isinstance(index, NeighborIndex)
-        tree = cKDTree(stored)
-        dist, idx = index.query(queries, k=1, distance_upper_bound=1.5)
-        odist, oidx = tree.query(queries, k=1, distance_upper_bound=1.5)
-        assert np.array_equal(idx, oidx)
-        _assert_matches(name, dist, odist)
-        balls = index.query_ball(queries, 1.0)
-        oballs = tree.query_ball_point(queries, 1.0)
-        assert [sorted(b) for b in balls] == [sorted(b) for b in oballs]
-        pairs = {tuple(sorted(p)) for p in
-                 np.asarray(index.query_pairs(0.8)).reshape(-1, 2)}
-        assert pairs == {tuple(sorted(p)) for p in tree.query_pairs(0.8)}
+        for n in (30, DENSE_INDEX_CUTOVER + 30):
+            stored, queries = _points(rng, n), _points(rng, 9)
+            index = neighbor_index(stored)
+            tree = cKDTree(stored)
+            dist, idx = index.query(queries, k=1,
+                                    distance_upper_bound=1.5)
+            odist, oidx = tree.query(queries, k=1,
+                                     distance_upper_bound=1.5)
+            assert np.array_equal(idx, oidx)
+            assert dist.tobytes() == odist.tobytes()
+            balls = index.query_ball_point(queries, 1.0)
+            oballs = tree.query_ball_point(queries, 1.0)
+            assert [sorted(b) for b in balls] == \
+                [sorted(b) for b in oballs]
+            pairs = {tuple(sorted(p)) for p in
+                     index.query_pairs(0.8, output_type="ndarray")}
+            assert pairs == {tuple(sorted(p))
+                             for p in tree.query_pairs(0.8)}
+
 
 class TestDenseNeighborIndex:
     """The small-n dense/k-d hybrid behind ``neighbor_index``."""
@@ -220,39 +86,29 @@ class TestDenseNeighborIndex:
                 metrics.get("backend.neighbor_index.dense_promotions", 0))
 
     def test_cutover_routes_by_size(self):
-        from repro.backend.base import DENSE_INDEX_CUTOVER, \
-            DenseNeighborIndex
-
-        backend = set_backend("numpy")
         rng = _rng()
         dense0, kd0, _ = self._counters()
-        small = backend.neighbor_index(
-            _points(rng, DENSE_INDEX_CUTOVER))
+        small = neighbor_index(_points(rng, DENSE_INDEX_CUTOVER))
         assert isinstance(small, DenseNeighborIndex)
-        large = backend.neighbor_index(
-            _points(rng, DENSE_INDEX_CUTOVER + 1))
-        assert not isinstance(large, DenseNeighborIndex)
+        large = neighbor_index(_points(rng, DENSE_INDEX_CUTOVER + 1))
+        assert isinstance(large, cKDTree)
         dense1, kd1, _ = self._counters()
         assert (dense1 - dense0, kd1 - kd0) == (1, 1)
 
     def test_cutover_gauge_in_cache_stats(self):
-        from repro.backend.base import DENSE_INDEX_CUTOVER
-
-        backend = set_backend("numpy")
-        backend.neighbor_index(_points(_rng(), 8))
+        neighbor_index(_points(_rng(), 8))
         metrics = _metrics.backend_metrics()
         assert metrics["backend.neighbor_index.dense_cutover"] == \
             DENSE_INDEX_CUTOVER
 
     def test_heavy_query_promotes_to_spatial_index(self):
-        backend = set_backend("numpy")
         rng = _rng()
         stored = _points(rng, 200)
-        index = backend.neighbor_index(stored)
+        index = neighbor_index(stored)
         tree = cKDTree(stored)
         _, _, promoted0 = self._counters()
         # 200 queries x 200 points > the dense work limit: the index
-        # must hand off to the real spatial structure, once.
+        # must hand off to a k-d tree, once.
         queries = _points(rng, 200)
         dist, idx = index.query(queries)
         _, _, promoted1 = self._counters()
@@ -267,10 +123,9 @@ class TestDenseNeighborIndex:
         assert promoted2 == promoted1
 
     def test_dense_semantics_match_ckdtree(self):
-        backend = set_backend("numpy")
         rng = _rng()
         stored = _points(rng, 12)
-        index = backend.neighbor_index(stored)
+        index = neighbor_index(stored)
         tree = cKDTree(stored)
         # Misses report inf distance and index m, exactly like scipy.
         far = stored + 100.0
@@ -280,24 +135,10 @@ class TestDenseNeighborIndex:
         assert np.all(np.isinf(dist)) and np.all(idx == len(stored))
         # Exact ties resolve to the lowest stored index.
         twin = np.vstack([stored[3], stored])
-        tie = backend.neighbor_index(twin)
+        tie = neighbor_index(twin)
         _, tie_idx = tie.query(stored[3])
         assert tie_idx == 0
-        # Single-point query_ball returns a flat list, like scipy's
-        # 1-d input path.
-        ball = index.query_ball(stored[0], 1.0)
+        # Single-point query_ball_point returns a flat list, like
+        # scipy's 1-d input path.
+        ball = index.query_ball_point(stored[0], 1.0)
         assert ball == sorted(tree.query_ball_point(stored[0], 1.0))
-
-
-class TestPipeline:
-    @pytest.mark.parametrize("name", BACKEND_PARAMS)
-    def test_symmetry_detection_pipeline(self, name):
-        perf.clear_caches()
-        set_backend("numpy")
-        oracle_spec = Configuration(named_pattern("cube")).symmetry.group.spec
-        perf.clear_caches()
-        set_backend(name)
-        report = Configuration(named_pattern("cube")).symmetry
-        assert report.kind == "finite"
-        assert report.group.spec == oracle_spec
-        perf.clear_caches()

@@ -321,85 +321,6 @@ class TestRowDeterminism:
         assert violations == []
 
 
-class TestBackendPurity:
-    def test_bad_accelerator_import_outside_backend(self, lint_source):
-        violations, _ = lint_source("src/repro/foo.py", """\
-            import numba
-
-            def jitted(x):
-                return numba.njit(x)
-            """)
-        assert rules_of(violations) == ["REP006"]
-        assert "capability probing" in violations[0].message
-
-    def test_bad_accelerator_from_import(self, lint_source):
-        violations, _ = lint_source("src/repro/foo.py", """\
-            from cupy import asarray
-            """)
-        assert rules_of(violations) == ["REP006"]
-
-    def test_good_accelerator_import_inside_backend(self, lint_source):
-        violations, _ = lint_source(
-            "src/repro/backend/numba_backend.py", """\
-            import numba
-            from cupy import asarray
-            """)
-        assert violations == []
-
-    def test_bad_protocol_op_in_kernel(self, lint_source):
-        violations, _ = lint_source("src/repro/groups/detection.py", """\
-            import numpy as np
-
-            def order(radii):
-                return np.lexsort((radii,))
-            """)
-        assert rules_of(violations) == ["REP006"]
-        assert "get_backend().lexsort()" in violations[0].message
-
-    def test_bad_svd_in_kernel(self, lint_source):
-        violations, _ = lint_source(
-            "src/repro/core/decomposition.py", """\
-            import numpy as np
-
-            def align(h):
-                return np.linalg.svd(h)
-            """)
-        assert rules_of(violations) == ["REP006"]
-        assert "kabsch" in violations[0].message
-
-    def test_bad_kdtree_in_kernel(self, lint_source):
-        violations, _ = lint_source(
-            "src/repro/robots/algorithms/matching.py", """\
-            from scipy.spatial import cKDTree
-
-            def index(points):
-                return cKDTree(points)
-            """)
-        assert rules_of(violations) == ["REP006", "REP006"]
-
-    def test_good_kernel_through_backend(self, lint_source):
-        violations, _ = lint_source("src/repro/groups/detection.py", """\
-            import numpy as np
-
-            from repro.backend import get_backend
-
-            def order(radii):
-                backend = get_backend()
-                perm = backend.lexsort((radii,))
-                return np.linalg.norm(radii[perm])
-            """)
-        assert violations == []
-
-    def test_good_np_ops_outside_kernels_unrestricted(self, lint_source):
-        violations, _ = lint_source("src/repro/analysis/foo.py", """\
-            import numpy as np
-
-            def order(radii):
-                return np.argsort(radii)
-            """)
-        assert violations == []
-
-
 class TestCampaignPurity:
     def test_bad_getpid_in_campaign(self, lint_source):
         violations, _ = lint_source("src/repro/campaign/foo.py", """\

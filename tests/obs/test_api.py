@@ -154,30 +154,3 @@ class TestArtifacts:
         assert "experiment" in phases
         for name in ("round", "look", "compute", "move"):
             assert phases[name]["count"] >= 1
-
-
-class TestDeprecatedShims:
-    def test_shims_warn_and_delegate(self):
-        from repro.analysis.experiments import figure1_experiment
-
-        with pytest.warns(DeprecationWarning,
-                          match="run_experiment"):
-            rows = figure1_experiment(trials=1, seed=2)
-        direct = run_experiment(
-            "figure1", ExperimentSpec(trials=1, seed=2)).rows
-        assert json.dumps(rows, default=str) == \
-            json.dumps(direct, default=str)
-
-    @pytest.mark.parametrize("name,kwargs", [
-        ("lemma7_experiment", {"trials": 1}),
-        ("theorem41_experiment", {"trials": 1}),
-        ("theorem11_experiment", {}),
-        ("figure1_experiment", {"trials": 1}),
-        ("plane_formation_experiment", {}),
-        ("baseline_2d_experiment", {}),
-    ])
-    def test_every_old_entrypoint_warns(self, name, kwargs):
-        from repro.analysis import experiments
-
-        with pytest.warns(DeprecationWarning, match=name):
-            getattr(experiments, name)(**kwargs)

@@ -35,14 +35,14 @@ class TestWireSchemaPin:
 
     def test_versions_are_pinned(self):
         assert WIRE_SCHEMA_VERSION == 1
-        assert API_SCHEMA_VERSION == 1
+        assert API_SCHEMA_VERSION == 2
 
     def test_formability_wire_shape(self):
         wire = encode_query(FormabilityQuery(initial="cube",
                                              target="octagon"))
         assert wire == {
             "wire_schema": 1,
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": "formability",
             "initial": "cube",
             "target": "octagon",
@@ -53,7 +53,7 @@ class TestWireSchemaPin:
                                               multiset=True))
         assert wire == {
             "wire_schema": 1,
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": "symmetricity",
             "points": "cube",
             "multiset": True,
@@ -64,11 +64,11 @@ class TestWireSchemaPin:
                                      spec=ExperimentSpec(trials=3)))
         assert wire == {
             "wire_schema": 1,
-            "schema_version": 1,
+            "schema_version": 2,
             "kind": "run",
             "name": "lemma7",
-            "spec": {"trials": 3, "seed": 0, "jobs": 1, "cache": None,
-                     "backend": None, "schema_version": 1},
+            "spec": {"trials": 3, "seed": 0, "cache": None,
+                     "schema_version": 2},
         }
 
     def test_spec_wire_fields_mirror_experiment_spec(self):

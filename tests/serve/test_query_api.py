@@ -1,7 +1,5 @@
-"""The typed query surface of ``repro.api``: records, evaluation,
-schema versioning, and the deprecation shims."""
-
-import warnings
+"""The typed query surface of ``repro.api``: records, evaluation and
+schema versioning."""
 
 import pytest
 
@@ -15,7 +13,6 @@ from repro.api import (
     evaluate_query,
     resolved_spec_record,
     run_experiment,
-    spec_as_dict,
     spec_record,
 )
 from repro.errors import ReproError
@@ -34,6 +31,14 @@ class TestQueryRecords:
         assert as_points("cube") == "cube"
         with pytest.raises(ReproError, match="points"):
             as_points(42)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": -1}, {"trials": "x"}, {"trials": True},
+        {"seed": -3}, {"seed": None}, {"seed": False},
+        {"cache": 1}, {"cache": "no"}])
+    def test_spec_rejects_malformed_run_parameters(self, kwargs):
+        with pytest.raises(ReproError, match="spec '"):
+            ExperimentSpec(**kwargs)
 
     def test_spec_carries_schema_version(self):
         assert ExperimentSpec().schema_version == API_SCHEMA_VERSION
@@ -101,17 +106,3 @@ class TestEvaluateQuery:
     def test_unknown_pattern_raises(self):
         with pytest.raises(ReproError):
             evaluate_query(SymmetricityQuery(points="dodecaplex"))
-
-
-class TestDeprecationShims:
-    def test_spec_as_dict_warns_and_drops_version(self):
-        spec = ExperimentSpec(trials=3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = spec_as_dict(spec)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-        assert "schema_version" not in legacy
-        modern = spec_record(spec)
-        modern.pop("schema_version")
-        assert legacy == modern

@@ -139,6 +139,24 @@ class TestByteIdentity:
                     client.query(SymmetricityQuery(points="noshape"))
         assert info.value.status == 422
 
+    @pytest.mark.parametrize("spec", [
+        {"trials": -1}, {"trials": "x"}, {"seed": -3},
+        {"trials": 8, "jobs": 8}, {"backend": "numpy"}])
+    def test_malformed_run_spec_is_422(self, spec):
+        wire = {"wire_schema": 1, "kind": "run", "name": "lemma7",
+                "spec": spec}
+        with _ServerThread(ServeConfig()) as st:
+            host, port = st.address
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            conn.request("POST", "/v1/query",
+                         body=json.dumps(wire).encode("utf-8"),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            conn.close()
+        assert response.status == 422, body
+        assert "spec" in body["error"]
+
     def test_unknown_path_and_bad_json(self):
         with _ServerThread(ServeConfig()) as st:
             host, port = st.address

@@ -91,3 +91,14 @@ class TestCli:
     def test_unknown_pattern_errors(self, capsys):
         assert main(["detect", "no_such_pattern"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_experiment_rejects_negative_trials(self, capsys):
+        assert main(["experiment", "lemma7", "--trials", "-1"]) == 2
+        assert "error: spec 'trials'" in capsys.readouterr().err
+
+    def test_campaign_status_without_a_store(self, tmp_path, capsys):
+        store = tmp_path / "results.duckdb"
+        assert main(["campaign", "status", "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert "no campaign store at" in err
+        assert "results.jsonl" in err
