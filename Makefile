@@ -71,13 +71,14 @@ bench-gate:
 bench-json:
 	$(PYTHON) benchmarks/run_benchmarks.py
 
-# Where does one swarm-scale round go?  cProfile over a single
-# batched Look-Compute-Move step at n=1024, top 20 by cumulative
-# time.  (Interpreting it: the Look matmul and the compute_batch
-# kernels should dominate; any repro.robots.model.Observation frames
+# Where does the paper's Compute go?  cProfile over one batched
+# psi_PF round from a generic swarm of 128 robots with random frames
+# into a regular 128-gon (the swarm benchmark's pf_ngon128 shape), top
+# 20 by cumulative time: detection, embedding, orbit ordering by local
+# views and the matching.  (Any repro.robots.model.Observation frames
 # in the hot path mean the batched engine fell back.)
 profile:
-	$(PYTHON) benchmarks/profile_round.py --n 1024 --top 20
+	$(PYTHON) benchmarks/profile_round.py --n 128 --top 20
 
 # Campaign smoke: the CI grid (2 experiments x 2 seeds) on the warm
 # pool, resumed once (must skip every cell), then re-run serially into

@@ -1,20 +1,23 @@
 #!/usr/bin/env python
-"""Profile one swarm-scale Look-Compute-Move round (``make profile``).
+"""Profile one ψ_PF Look-Compute-Move round (``make profile``).
 
-Runs a single ``FsyncScheduler.step`` under cProfile — by default the
-batched engine at n=1024 with the same mean-field contraction the
-swarm benchmarks use — and prints the top functions by cumulative
-time.  One untimed warmup step keeps allocator and BLAS first-touch
-out of the profile, so the output is the steady-state round.
+Runs a single ``FsyncScheduler.step`` of the pattern formation
+algorithm ψ_PF under cProfile: a generic swarm of ``n`` robots with
+random local frames forming a regular ``n``-gon, by default n = 128 —
+the swarm benchmark's ``pf_ngon128`` shape.  One untimed warmup step
+keeps allocator, BLAS and catalog first-touch out of the profile; the
+L1 caches are cleared after it, so the profiled round computes from
+scratch like the first round of a formation.  Prints the top
+functions by cumulative time.
 
-    PYTHONPATH=src python benchmarks/profile_round.py --n 1024 --top 20
+    PYTHONPATH=src python benchmarks/profile_round.py --n 128 --top 20
     PYTHONPATH=src python benchmarks/profile_round.py --per-robot
 
-Reading it: on the batched engine the Look ``matmul`` and the
-``compute_batch`` array kernels should dominate, with no
-``Observation`` construction in sight; ``--per-robot`` profiles the
-reference loop for comparison, where the per-robot Python calls are
-the expected cost.
+Reading it: the round's Compute is ψ_PF's — symmetry detection,
+embedding ``F̃``, orbit ordering by local views
+(``repro.core.local_views``) and the matching ``M(P, F̃)``.
+``--per-robot`` profiles the reference engine, which asks the round
+cache once per robot instead of once per round.
 """
 
 from __future__ import annotations
@@ -26,23 +29,10 @@ import pstats
 import numpy as np
 
 
-class _SwarmContract:
-    """The swarm benchmarks' mean-field contraction, both engines."""
-
-    def __call__(self, observation):
-        views = np.asarray(observation.points)
-        me = views[observation.self_index]
-        return me + 0.25 * (views.mean(axis=0) - me)
-
-    def compute_batch(self, batch):
-        own = batch.own_rows()
-        return own + 0.25 * (batch.local.mean(axis=1) - own)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n", type=int, default=1024,
-                        help="swarm size (default 1024)")
+    parser.add_argument("--n", type=int, default=128,
+                        help="swarm size and target n-gon (default 128)")
     parser.add_argument("--top", type=int, default=20,
                         help="rows of profile output (default 20)")
     parser.add_argument(
@@ -51,18 +41,26 @@ def main(argv=None) -> int:
              "batched one")
     args = parser.parse_args(argv)
 
-    from repro.robots.adversary import identity_frames
+    from repro import perf
+    from repro.patterns.polyhedra import regular_polygon_pattern
+    from repro.robots.adversary import random_frames
+    from repro.robots.algorithms.pattern_formation import (
+        make_pattern_formation_algorithm,
+    )
     from repro.robots.scheduler import FsyncScheduler
 
     rng = np.random.default_rng(args.n)
     points = [rng.normal(size=3) for _ in range(args.n)]
-    scheduler = FsyncScheduler(_SwarmContract(), identity_frames(args.n),
+    target = regular_polygon_pattern(args.n)
+    scheduler = FsyncScheduler(make_pattern_formation_algorithm(target),
+                               random_frames(args.n, rng), target=target,
                                batched=not args.per_robot)
     scheduler.step(points)  # warmup: first-touch allocation, BLAS init
+    perf.clear_caches()
 
     engine = "per-robot reference" if args.per_robot else "batched"
-    print(f"one {engine} round at n={args.n}, top {args.top} by "
-          f"cumulative time:")
+    print(f"one {engine} psi_PF round at n={args.n} into a regular "
+          f"{args.n}-gon, top {args.top} by cumulative time:")
     profiler = cProfile.Profile()
     profiler.enable()
     scheduler.step(points)

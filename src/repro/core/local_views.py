@@ -33,10 +33,42 @@ from repro.groups.group import RotationGroup
 __all__ = ["local_view", "ordered_orbits"]
 
 _DECIMALS = 6
+_SLACK = DEFAULT_TOL.geometric_slack(1.0)
+# Cyclic shifts of (x, y, z), for the cross product.
+_YZX = np.array([1, 2, 0])
+_ZXY = np.array([2, 0, 1])
 
 
 def _round(x: float) -> float:
     return float(canonical_round(x, _DECIMALS))
+
+
+class _ViewMemo:
+    """One configuration's views and the arrays every view shares.
+
+    A view depends on its robot only through the axis; the
+    centre-relative points, radii, unit vectors and inner-ball gaps are
+    the same for all ``n`` views, so they are computed once.
+    """
+
+    def __init__(self, config: Configuration) -> None:
+        rel = np.asarray(config.relative_points(), dtype=float)
+        scale = max(config.radius, 1e-300)
+        radii = np.linalg.norm(rel, axis=1) / scale
+        off_axis = radii > _SLACK
+        units = np.zeros_like(rel)
+        units[off_axis] = rel[off_axis] / (radii[off_axis, None] * scale)
+        self.rel = rel
+        self.scale = scale
+        self.scaled = rel / scale
+        self.radii = radii
+        self.units = units
+        self.radii_r = canonical_round(radii, _DECIMALS)
+        # A robot at b(P) encodes as (0, 0, 0): its unit vector is zero,
+        # so only its rounded radius needs masking.
+        self.entry_radii = np.where(off_axis, self.radii_r, 0.0)
+        self.gaps = np.abs(radii - config.inner_ball.radius / scale)
+        self.views: dict[int, tuple] = {}
 
 
 def local_view(config: Configuration, index: int) -> tuple:
@@ -45,101 +77,158 @@ def local_view(config: Configuration, index: int) -> tuple:
     The view of a robot at ``b(P)`` is a sentinel smaller than every
     other view (its axis is undefined; it is alone in its orbit).
 
-    Views are memoized on the configuration object: orbit ordering and
-    the formation algorithms ask for the same robot's view repeatedly,
-    and each view costs a full pass over the configuration.
+    Views are memoized on the configuration object, next to the arrays
+    all of its views share: orbit ordering and the formation algorithms
+    ask for the same robot's view repeatedly.
     """
-    cache = getattr(config, "_view_cache", None)
-    if cache is None:
-        cache = {}
-        config._view_cache = cache
-    cached = cache.get(index)
-    if cached is not None:
-        return cached
-    view = _compute_local_view(config, index)
-    cache[index] = view
+    memo = getattr(config, "_view_memo", None)
+    if memo is None:
+        memo = config._view_memo = _ViewMemo(config)
+    view = memo.views.get(index)
+    if view is None:
+        view = memo.views[index] = _compute_local_view(memo, index)
     return view
 
 
-def _compute_local_view(config: Configuration, index: int) -> tuple:
-    """Array-at-once evaluation of one robot's view.
+def _compute_local_view(memo: _ViewMemo, index: int) -> tuple:
+    """One robot's view: the smallest over its candidate meridians.
 
-    Candidate meridians are selected by the same order-dependent gap
-    clustering as always; the per-candidate spherical coordinates of
-    all ``n`` points are then produced by batched transforms instead
-    of a Python loop per point.
+    For a meridian through robot ``m`` every robot ``j`` encodes as a
+    rounded (radius, longitude, latitude) entry, and the view is
+    ``(entry[index], entry[m], sorted other entries)``.  The smallest
+    candidate is picked on arrays (:func:`_best_meridian`) and only its
+    view is built as tuples.
+
+    Views are pinned bit for bit to the frozen per-candidate oracle
+    (``tests/properties/round_oracle.py``), and a float one ulp off can
+    round to another 6-decimal value.  So the floats that get rounded
+    keep their expressions, operands and array shapes, matmul
+    orientation included: BLAS may sum a product in another order for
+    another shape.
     """
-    rel = np.asarray(config.relative_points(), dtype=float)
-    n = rel.shape[0]
-    scale = max(config.radius, 1e-300)
-    radii = np.linalg.norm(rel, axis=1) / scale
-    slack = DEFAULT_TOL.geometric_slack(1.0)
-    own_r = float(radii[index])
-    if own_r <= slack:
-        return ((-1.0,), tuple(sorted(_round(float(r)) for r in radii)))
-    axis = rel[index] / (own_r * scale)
-
-    inner_r = config.inner_ball.radius / scale
-    scaled = rel / scale
-    proj = scaled @ axis
-    perp = scaled - proj[:, None] * axis
+    own_r = float(memo.radii[index])
+    if own_r <= _SLACK:
+        return ((-1.0,), tuple(sorted(memo.radii_r.tolist())))
+    axis = memo.rel[index] / (own_r * memo.scale)
+    proj = memo.scaled @ axis
+    perp = memo.scaled - proj[:, None] * axis
     perp_len = np.linalg.norm(perp, axis=1)
-    gaps = np.abs(radii - inner_r)
-
-    candidates: list[int] = []
-    best_gap = None
-    for j in range(n):
-        if perp_len[j] <= slack:
-            continue
-        gap = float(gaps[j])
-        if best_gap is None or gap < best_gap - slack:
-            best_gap = gap
-            candidates = [j]
-        elif abs(gap - best_gap) <= slack:
-            candidates.append(j)
-    if not candidates:
+    candidates = _meridian_candidates(memo.gaps, perp_len)
+    if candidates.size == 0:
         # Every other robot is on the axis: encode the heights only.
-        heights = sorted(_round(float(h)) for h in proj)
+        heights = sorted(canonical_round(proj, _DECIMALS).tolist())
         return ((_round(own_r),), tuple(heights))
 
-    off_axis = radii > slack
-    units = np.zeros_like(scaled)
-    units[off_axis] = rel[off_axis] / (radii[off_axis, None] * scale)
+    units = memo.units
     heights = np.clip(units @ axis, -1.0, 1.0)
     latitudes = np.arcsin(heights)
     perp_units = units - heights[:, None] * axis
     perp_unit_len = np.linalg.norm(perp_units, axis=1)
 
     meridians = perp[candidates] / perp_len[candidates, None]   # (c, 3)
-    binormals = np.cross(np.broadcast_to(axis, meridians.shape),
-                         meridians)                             # (c, 3)
+    binormals = _cross(axis, meridians)                         # (c, 3)
     longitudes = np.arctan2(perp_units @ binormals.T,
                             perp_units @ meridians.T)           # (n, c)
     longitudes %= 2.0 * np.pi
     # Collapse the 2π wraparound: an angle of -1e-16 must encode as
     # 0.0, not 6.283185 (observers would differ).
     longitudes[longitudes >= 2.0 * np.pi - ANGLE_WRAP_EPS] = 0.0
-    longitudes[perp_unit_len <= slack, :] = 0.0
+    longitudes[perp_unit_len <= _SLACK, :] = 0.0
 
-    radii_r = canonical_round(radii, _DECIMALS)
+    radius_r = memo.entry_radii
     lat_r = canonical_round(latitudes, _DECIMALS)
-    lon_r = canonical_round(longitudes, _DECIMALS)
+    lon_r = canonical_round(longitudes, _DECIMALS).T            # (c, n)
+    best = 0
+    if len(candidates) > 1:
+        best = _best_meridian(index, candidates, radius_r, lon_r, lat_r)
+    meridian = int(candidates[best])
+    lon_w = lon_r[best]
+    order = np.lexsort((lat_r, lon_w, radius_r))
+    rest = order[(order != index) & (order != meridian)]
+    return ((float(radius_r[index]), float(lon_w[index]),
+             float(lat_r[index])),
+            (float(radius_r[meridian]), float(lon_w[meridian]),
+             float(lat_r[meridian])),
+            tuple(zip(radius_r[rest].tolist(), lon_w[rest].tolist(),
+                      lat_r[rest].tolist())))
 
-    best_view: tuple | None = None
-    for c, meridian_index in enumerate(candidates):
-        entries = [
-            (0.0, 0.0, 0.0) if not off_axis[j]
-            else (float(radii_r[j]), float(lon_r[j, c]), float(lat_r[j]))
-            for j in range(n)
-        ]
-        own = entries[index]
-        meridian = entries[meridian_index]
-        rest = sorted(entries[j] for j in range(n)
-                      if j not in (index, meridian_index))
-        view = (own, meridian, tuple(rest))
-        if best_view is None or view < best_view:
-            best_view = view
-    return best_view
+
+def _best_meridian(index: int, candidates: np.ndarray,
+                   radius_r: np.ndarray, lon_r: np.ndarray,
+                   lat_r: np.ndarray) -> int:
+    """Position in ``candidates`` of the meridian with the smallest view.
+
+    ``lon_r[k]`` holds every robot's rounded longitude for candidate
+    ``k``; radii and latitudes do not depend on the meridian.  Views
+    compare the own entry first, so only four values per candidate
+    (own longitude, the meridian's radius, longitude and latitude)
+    decide between candidates up to the rest.  Candidates tied on them
+    sort their entries by (radius, longitude, latitude) in one stable
+    ``np.lexsort`` over a ``(t, n)`` key.  With equal own and meridian
+    entries, their sorted rests compare as their sorted lists of all
+    entries, whose radius column is the same for every candidate.
+    """
+    c, n = lon_r.shape
+    head = np.column_stack((lon_r[:, index], radius_r[candidates],
+                            lon_r[np.arange(c), candidates],
+                            lat_r[candidates]))
+    tied = _smallest_rows(head)
+    if len(tied) == 1:
+        return int(tied[0])
+    lon_t = lon_r[tied]                                         # (t, n)
+    t = len(tied)
+    order = np.lexsort((np.broadcast_to(lat_r, (t, n)), lon_t,
+                        np.broadcast_to(radius_r, (t, n))))
+    table = np.stack((lon_t[np.arange(t)[:, None], order],
+                      lat_r[order]), axis=-1)                   # (t, n, 2)
+    return int(tied[_smallest_rows(table.reshape(t, 2 * n))[0]])
+
+
+def _cross(axis: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``np.cross(axis, vectors)`` row by row, without its call overhead.
+
+    Component ``k`` is ``axis[k+1] * v[k+2] - axis[k+2] * v[k+1]``
+    (indices mod 3): the products and difference ``np.cross`` forms,
+    so the same bits.
+    """
+    return np.ascontiguousarray(axis[_YZX] * vectors[:, _ZXY]
+                                - axis[_ZXY] * vectors[:, _YZX])
+
+
+def _meridian_candidates(gaps: np.ndarray,
+                         perp_len: np.ndarray) -> np.ndarray:
+    """Robots off the axis whose gap to ``I(P)`` is smallest.
+
+    The gaps are clustered in index order: a gap more than the slack
+    below the cluster's gap starts a new cluster, and one within the
+    slack of it joins.  So the last cluster started wins, holding its
+    first robot and every later one within the slack of that robot's
+    gap.
+    """
+    eligible = np.flatnonzero(perp_len > _SLACK)
+    if eligible.size == 0:
+        return eligible
+    g = gaps[eligible]
+    first = 0
+    while True:
+        lower = np.flatnonzero(g[first + 1:] < g[first] - _SLACK)
+        if lower.size == 0:
+            break
+        first += 1 + int(lower[0])
+    return eligible[first:][np.abs(g[first:] - g[first]) <= _SLACK]
+
+
+def _smallest_rows(keys: np.ndarray) -> np.ndarray:
+    """Indices of the rows equal to the lexicographically smallest row."""
+    alive = np.arange(keys.shape[0])
+    while alive.size > 1:
+        rows = keys[alive]
+        differ = (rows != rows[0]).any(axis=0)
+        if not differ.any():
+            break
+        column = rows[:, differ.argmax()]
+        alive = alive[column == column.min()]
+    return alive
 
 
 def ordered_orbits(config: Configuration, group: RotationGroup,

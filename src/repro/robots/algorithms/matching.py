@@ -217,15 +217,15 @@ def _order_target_orbits(config, entries):
         profile = sorted(map(tuple, dists.tolist()))
         return (radius, views[ei], tuple(profile))
 
-    order = sorted(range(len(entries)), key=key)
-    keys = [key(ei) for ei in order]
+    keys = [key(ei) for ei in range(len(entries))]
+    order = sorted(range(len(entries)), key=keys.__getitem__)
     # Distance profiles are reflection-blind; separate remaining ties
     # with a handedness-aware signature (cf. the embedding step).
     resolved: list[int] = []
     i = 0
     while i < len(order):
         j = i
-        while j + 1 < len(order) and keys[j + 1] == keys[i]:
+        while j + 1 < len(order) and keys[order[j + 1]] == keys[order[i]]:
             j += 1
         if j == i:
             resolved.append(order[i])

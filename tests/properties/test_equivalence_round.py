@@ -7,6 +7,11 @@ frozen pre-batching implementation in ``round_oracle``.  Local views
 must agree *exactly* (they are rounded tuples); Look-phase and
 matching destinations must agree to float noise.
 
+Swarm-scale cases (a 128-gon and a 64-prism, where nearly every robot
+is a meridian candidate, and a 100-robot T swarm with free orbits of
+one radius) pin the local-view kernel at the swarm workload's sizes,
+on a fixed sample of robots.
+
 The matching zoo deliberately includes the two delicate regimes named
 by the paper: multiset targets with ``k·j`` points on a ``k``-fold
 axis (Definition 6), and half-step rotated target orbits whose
@@ -28,6 +33,7 @@ from repro.core.configuration import Configuration
 from repro.core.local_views import local_view, ordered_orbits
 from repro.errors import ReproError
 from repro.geometry.rotations import rotation_about_axis
+from repro.groups import catalog
 from repro.patterns import polyhedra
 from repro.patterns.library import named_pattern, pattern_names
 from repro.robots.adversary import random_frames
@@ -115,6 +121,63 @@ def test_local_views_and_orbit_order_match_oracle(seed, enabled):
             expected = None
         if expected is not None:
             assert ordered_orbits(config, report.group) == expected
+
+
+def _t_swarm(rng):
+    """A tetrahedron inside eight free T-orbits, the first four of one
+    radius: ``ordered_orbits`` can separate those four only by views."""
+    group = catalog.tetrahedral_group()
+    points = [np.asarray(p, dtype=float) for p in named_pattern("tetrahedron")]
+    for radius in (2.0, 2.0, 2.0, 2.0, 2.4, 2.8, 3.2, 3.6):
+        direction = rng.normal(size=3)
+        points.extend(group.orbit(radius * direction / np.linalg.norm(direction)))
+    return points
+
+
+def _swarm_scale_case(name: str):
+    """(points, sampled indices) at the swarm workload's sizes.
+
+    On the regular 128-gon and the 64-prism every robot but the viewer
+    is a meridian candidate.  The frozen oracle spends about half a
+    second on one such view, so only a fixed sample is compared (all
+    views of those two shapes are equal).
+    """
+    rng = np.random.default_rng(128)
+    if name == "ngon128":
+        return _posed(polyhedra.regular_polygon_pattern(128), rng)[0], (77,)
+    if name == "prism64":
+        return _posed(polyhedra.prism(64), rng)[0], (100,)
+    return _posed(_t_swarm(rng), rng)[0], (0, 4, 50, 99)
+
+
+@pytest.mark.parametrize("name", ["ngon128", "prism64", "t_swarm"])
+def test_swarm_scale_views_and_orbit_order_match_oracle(name):
+    points, sample = _swarm_scale_case(name)
+    config = Configuration(points)
+    report = config.symmetry
+    assert report.kind == "finite"
+    if name == "t_swarm":
+        assert (config.n, str(report.spec)) == (100, "T")
+    expected = oracle_ordered_orbits(config, report.group)
+    assert ordered_orbits(config, report.group) == expected
+    for i in sample:
+        assert local_view(config, i) == oracle_local_view(config, i)
+
+
+@pytest.mark.parametrize("points", [
+    [np.array([0.3, -1.2, 0.5]), np.array([1.1, 0.4, -0.7])],
+    [np.array([0.2, 0.1, -0.3]) + t * np.array([1.0, -2.0, 0.5])
+     for t in (-1.5, -0.4, 0.0, 0.9, 1.5)],
+], ids=["two_robots", "collinear"])
+def test_views_without_a_meridian_candidate_match_oracle(points):
+    """Every other robot lies on the viewer's axis: the view holds the
+    viewer's radius and the sorted heights, with no meridian entry (a
+    robot at ``b(P)`` gets the one-entry sentinel)."""
+    config = Configuration(points)
+    for i in range(config.n):
+        view = local_view(config, i)
+        assert view == oracle_local_view(config, i)
+        assert len(view[0]) == 1
 
 
 def _step_zoo(seed: int):
