@@ -38,7 +38,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks --benchmark-only
 
 # Fast correctness pass over the detection benchmarks (including the
-# n=4096 swarm point), one batched swarm round, and one warm-pool
+# n=4096 swarm point), one batched swarm round, and one 3-cell inline
 # campaign: runs each benchmarked callable once with timing disabled.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks \
@@ -80,7 +80,7 @@ bench-json:
 profile:
 	$(PYTHON) benchmarks/profile_round.py --n 128 --top 20
 
-# Campaign smoke: the CI grid (2 experiments x 2 seeds) on the warm
+# Campaign smoke: the CI grid (2 experiments x 2 seeds) on the process
 # pool, resumed once (must skip every cell), then re-run serially into
 # a second store — the canonical exports must be byte-identical.
 campaign-smoke:

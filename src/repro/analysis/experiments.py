@@ -51,11 +51,6 @@ GOC_POLYHEDRA = [
 ]
 
 
-def _spec_of(config: Configuration) -> str:
-    report = config.symmetry
-    return str(report.spec) if report.kind == "finite" else report.kind
-
-
 def _points_of(points) -> list[np.ndarray]:
     """A trial item's pattern as a fresh list of float points."""
     return [np.array(row, dtype=float) for row in points]

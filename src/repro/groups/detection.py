@@ -26,14 +26,13 @@ candidate runs through one k-d tree query per batch instead of a
 per-point Python scan.  A cheap probe pass over the most constrained
 shell rejects most wrong candidates before the full-multiset check.
 
-Nearest-neighbour queries go through
-:func:`repro.geometry.neighbors.neighbor_index` (brute force for small
-supports, a k-d tree above the cutover).  Two large-``n`` regimes get
-dedicated paths that the small-``n`` (oracle-pinned) workloads never
-enter: candidate pair generation switches from the dense ``s1 × s2``
-dot matrix to k-d ball queries around a *nearest* reference pair
-(:func:`_pruned_pairs`), and verification of large candidate sets
-proceeds by generators plus group closure
+The k-d trees come from
+:func:`repro.geometry.neighbors.neighbor_index`.  Two large-``n``
+regimes get dedicated paths that the small-``n`` (oracle-pinned)
+workloads never enter: candidate pair generation switches from the
+dense ``s1 × s2`` dot matrix to k-d ball queries around a *nearest*
+reference pair (:func:`_pruned_pairs`), and verification of large
+candidate sets proceeds by generators plus group closure
 (:func:`_verify_by_closure`) instead of checking every candidate
 against the full multiset.
 """

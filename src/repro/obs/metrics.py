@@ -22,16 +22,16 @@ flattens them into the same ``name -> value`` namespace
 counters through :func:`l1_snapshot`/:func:`l1_delta`, so their
 numbers can never disagree.
 
-The kernels' neighbour indexes (:mod:`repro.geometry.neighbors`)
-count the dense/k-d split on the ``backend.neighbor_index.*``
-namespace.  Those are *performance* counters, not logical ones: how
-many indexes a run builds depends on cache luck (a cold worker cache
-redoes detections a warm inline cache would have served), so they
-are jobs-dependent by nature.  :func:`split_performance`
-separates them from the logical counters and the run façade reports
-them beside the cache hierarchy — in the ``backend`` section of the
-metrics artifact and the ``--cache-stats`` render — never inside the
-jobs-invariant logical snapshot.
+The kernels' neighbour index (:mod:`repro.geometry.neighbors`)
+counts its k-d trees on ``backend.neighbor_index.kd``.  That is a
+*performance* counter, not a logical one: how many indexes a run
+builds depends on cache luck (a cold worker cache redoes detections a
+warm inline cache would have served), so it is jobs-dependent by
+nature.  :func:`split_performance` separates such counters from the
+logical ones and the run façade reports them beside the cache
+hierarchy — in the ``backend`` section of the metrics artifact and
+the ``--cache-stats`` render — never inside the jobs-invariant
+logical snapshot.
 """
 
 from __future__ import annotations
@@ -58,12 +58,12 @@ __all__ = [
 ]
 
 #: Counter namespaces that measure performance (neighbour indexes
-#: built, dense indexes promoted) rather than logical model events.  Performance counters depend on cache luck and therefore on
-#: the ``--jobs`` partition; the jobs-invariance contract only covers
-#: the logical remainder.  The ``serve.`` namespace (queue depth,
-#: coalesce hits, deadline misses) is scheduling-dependent for the
-#: same reason: two identical query bursts coalesce differently
-#: depending on arrival timing.
+#: built) rather than logical model events.  Performance counters
+#: depend on cache luck and therefore on the ``--jobs`` partition; the
+#: jobs-invariance contract only covers the logical remainder.  The
+#: ``serve.`` namespace (queue depth, coalesce hits, deadline misses)
+#: is scheduling-dependent for the same reason: two identical query
+#: bursts coalesce differently depending on arrival timing.
 PERFORMANCE_PREFIXES = ("backend.", "serve.")
 
 METRICS_SCHEMA_VERSION = 1
@@ -261,20 +261,9 @@ def split_performance(counters: dict) -> tuple[dict, dict]:
 
 
 def backend_metrics() -> dict[str, int]:
-    """The live ``backend.*`` performance counters, flat and sorted.
-
-    When the run built any neighbor index, the active dense/k-d
-    cutover is reported beside the ``backend.neighbor_index.*`` split
-    counters (a configuration gauge, not a counter — it names the
-    threshold the split was measured under).
-    """
+    """The live ``backend.*`` performance counters, flat and sorted."""
     counters = _default_registry.snapshot()["counters"]
-    flat = dict(split_performance(counters)[1])
-    if any(name.startswith("backend.neighbor_index.") for name in flat):
-        from repro.geometry.neighbors import DENSE_INDEX_CUTOVER
-
-        flat["backend.neighbor_index.dense_cutover"] = DENSE_INDEX_CUTOVER
-    return dict(sorted(flat.items()))
+    return dict(sorted(split_performance(counters)[1].items()))
 
 
 def l1_snapshot() -> dict[str, dict[str, int]]:

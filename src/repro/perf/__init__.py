@@ -8,7 +8,9 @@ caches in this package key results by a similarity-invariant signature
 (:func:`repro.core.signatures.congruence_signature`), re-align the
 stored canonical result onto the query with one certified rotation,
 and therefore pay the full ``γ(P)`` / ``ϱ(P)`` cost only once per
-congruence class per round.
+congruence class per round.  Nothing is carried from one round to the
+next: each round's configuration is looked up in L1 like any other
+query, and detected afresh on a miss.
 
 The package is organized as a cache hierarchy:
 
@@ -39,19 +41,15 @@ from repro.perf.cache import (
     cached_symmetry,
     clear_caches,
     is_enabled,
-    probe_symmetry,
     set_enabled,
 )
 from repro.perf.parallel import parallel_map, seeded_trials, spawn_seeds
 from repro.perf.round import (
     cached_equivariant_points,
     cached_invariant,
-    incremental_enabled,
-    prime_symmetry,
     round_view,
-    set_incremental,
 )
-from repro.perf.stats import format_hierarchy, hierarchy_stats
+from repro.perf.stats import hierarchy_stats
 
 __all__ = [
     "cache_bytes",
@@ -62,16 +60,11 @@ __all__ = [
     "cached_symmetricity",
     "cached_symmetry",
     "clear_caches",
-    "format_hierarchy",
     "hierarchy_stats",
-    "incremental_enabled",
     "is_enabled",
     "parallel_map",
-    "prime_symmetry",
-    "probe_symmetry",
     "round_view",
     "seeded_trials",
     "set_enabled",
-    "set_incremental",
     "spawn_seeds",
 ]

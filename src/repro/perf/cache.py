@@ -51,9 +51,6 @@ __all__ = [
     "cached_symmetry",
     "clear_caches",
     "is_enabled",
-    "note_incremental",
-    "probe_symmetry",
-    "seed_symmetry",
     "set_enabled",
 ]
 
@@ -69,8 +66,7 @@ _symmetry_cache: OrderedDict[tuple, list] = OrderedDict()
 _subgroup_cache: OrderedDict[tuple, list] = OrderedDict()
 
 _stats = {
-    "symmetry": {"hits": 0, "misses": 0, "bypass": 0, "evictions": 0,
-                 "incremental_hits": 0, "incremental_fallbacks": 0},
+    "symmetry": {"hits": 0, "misses": 0, "bypass": 0, "evictions": 0},
     "symmetricity": {"hits": 0, "misses": 0},
     "subgroups": {"hits": 0, "misses": 0, "evictions": 0},
 }
@@ -222,91 +218,6 @@ def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
     report._perf_entry = entry
     report._perf_rotation = np.eye(3)
     return report
-
-
-def probe_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
-    """Hit-only L1 lookup: a report iff the class is already cached.
-
-    Mirrors :func:`cached_symmetry`'s hit path but returns None on a
-    miss instead of running detection, and never touches the hit/miss
-    counters — a probe is a peek, not a query.  Non-finite reports
-    (collinear / degenerate) are complete without detection and are
-    returned directly.  The incremental round-priming path uses this
-    to pick up the world-frame report of the previous configuration —
-    whose congruence class the robots' observations populated during
-    the round — without ever paying a full detection.
-    """
-    if not _enabled:
-        return None
-    pre = _detection._prepare_multiset(points, tol, ball)
-    report = _detection._base_report(pre, tol)
-    if report.kind != "finite":
-        return report
-
-    scale = max(pre.ball.radius, 1e-300)
-    rel_unit = pre.rel / scale
-    radii_unit = pre.radii / scale
-    slack = tol.geometric_slack(1.0)
-    mults = np.asarray(pre.mults, dtype=np.int64)
-    key = congruence_signature(len(points), mults) + (_tol_key(tol),)
-    bucket = _symmetry_cache.get(key)
-    if bucket is None:
-        return None
-    radii_sorted = np.sort(radii_unit)
-    for entry in bucket:
-        if np.abs(entry.radii_sorted - radii_sorted).max() > 10 * slack:
-            continue
-        rotation = _detection.align_rotation(
-            entry.rel_unit, entry.mults, entry.radii_unit,
-            rel_unit, mults, radii_unit, slack)
-        if rotation is None:
-            continue
-        report.group = entry.group.transformed(rotation)
-        report._perf_entry = entry
-        report._perf_rotation = rotation
-        return report
-    return None
-
-
-def seed_symmetry(pre, report, tol: Tolerance, group):
-    """Install an externally certified group as a fresh L1 class entry.
-
-    ``pre``/``report`` are the new configuration's prepared multiset
-    and finite base report; ``group`` must already be *verified*
-    against it (the incremental γ(P) path conjugates the previous
-    round's group and batch-checks every element before seeding).
-    The entry is indistinguishable from one produced by a full
-    detection miss, so the robots' congruent observations of the next
-    round hit it through the normal alignment path.  Returns the
-    completed report.
-    """
-    report.group = group
-    if not _enabled:
-        return report
-    scale = max(pre.ball.radius, 1e-300)
-    rel_unit = pre.rel / scale
-    mults = np.asarray(pre.mults, dtype=np.int64)
-    entry = _ClassEntry(rel_unit=rel_unit, mults=mults,
-                        radii_unit=pre.radii / scale,
-                        radii_sorted=np.sort(pre.radii / scale),
-                        group=group)
-    key = congruence_signature(int(mults.sum()), mults) + (_tol_key(tol),)
-    bucket = _symmetry_cache.get(key)
-    if bucket is None:
-        _symmetry_cache[key] = [entry]
-    else:
-        bucket.append(entry)
-    _symmetry_cache.move_to_end(key)
-    _trim(_symmetry_cache, "symmetry")
-    report._perf_entry = entry
-    report._perf_rotation = np.eye(3)
-    return report
-
-
-def note_incremental(hit: bool) -> None:
-    """Count one incremental-γ(P) priming attempt (hit or fallback)."""
-    name = "incremental_hits" if hit else "incremental_fallbacks"
-    _stats["symmetry"][name] += 1
 
 
 def cached_symmetricity(config, report, tol: Tolerance, compute):

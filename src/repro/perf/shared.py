@@ -40,7 +40,6 @@ __all__ = [
     "SharedStore",
     "activate",
     "active_store",
-    "deactivate",
     "l2_stats",
     "shared_get_or_compute",
 ]
@@ -284,11 +283,6 @@ def activate(store: SharedStore) -> None:
     """Route :func:`shared_get_or_compute` through ``store``."""
     global _active  # reprolint: disable=REP003 -- audited lifecycle singleton: L2 store activation for the worker process
     _active = store
-
-
-def deactivate() -> None:
-    global _active  # reprolint: disable=REP003 -- audited lifecycle singleton: L2 store deactivation on pool teardown
-    _active = None
 
 
 def active_store() -> SharedStore | None:

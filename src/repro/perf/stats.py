@@ -14,7 +14,7 @@ Two things live here because every level needs them:
   ``misses`` / ``evictions`` / ``bytes`` per level, pulling the L1
   numbers from the in-process congruence/round caches, the L2 numbers
   from the shared-memory store, and the L3 numbers from the on-disk
-  store.  :func:`format_hierarchy` renders it for the CLI.
+  store.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "exact_digest",
     "group_digest",
-    "format_hierarchy",
     "hierarchy_stats",
 ]
 
@@ -115,17 +114,3 @@ def hierarchy_stats() -> dict:
     from repro.perf.shared import l2_stats
 
     return {"l1": _l1_level(), "l2": l2_stats(), "l3": l3_stats()}
-
-
-def format_hierarchy(stats: dict | None = None) -> str:
-    """Render :func:`hierarchy_stats` in the unified metrics format.
-
-    Delegates to :func:`repro.obs.metrics.render_cache_metrics` — one
-    stable sorted ``cache.l*.name = value`` listing shared with every
-    ``--cache-stats`` flag and the ``--metrics`` artifact, so no two
-    surfaces can render the hierarchy differently.
-    """
-    from repro.obs.metrics import cache_metrics, render_cache_metrics
-
-    return render_cache_metrics(
-        cache_metrics(stats) if stats is not None else None)

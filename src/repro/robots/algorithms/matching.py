@@ -11,7 +11,7 @@ a chirality rule: among tied targets ``f, f'`` the robot picks the one
 with positive triple product ``det[p - c, f - c, f' - c]`` — a
 rotation-invariant, handedness-aware rule all robots share.
 
-Point-set membership tests run on a sized neighbour index
+Point-set membership tests run on a k-d neighbour index
 (:func:`repro.geometry.neighbors.neighbor_index`) and the
 distance/triple-product profiles on batched array kernels; the greedy
 orderings and the Lemma 14 tie-break are semantically identical to the

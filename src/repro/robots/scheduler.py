@@ -265,8 +265,6 @@ class FsyncScheduler:
                                         result.rounds)
             return result
 
-        from repro.perf.round import prime_symmetry
-
         with tracer.span("run", n=len(initial_points)):
             points = [np.asarray(p, dtype=float) for p in initial_points]
             trace = [Configuration(points)]
@@ -284,13 +282,7 @@ class FsyncScheduler:
                     > DEFAULT_TOL.motion_slack_batch(
                         np.linalg.norm(old, axis=1))))
                 points = new_points
-                new_config = Configuration(points)
-                # Incremental γ(P): when the round's displacement is
-                # coherent, the previous certified group is conjugated
-                # and seeded so this round's observations (and the stop
-                # condition) skip a fresh full detection.
-                prime_symmetry(trace[-1], new_config)
-                trace.append(new_config)
+                trace.append(Configuration(points))
                 if stop_condition is not None and stop_condition(trace[-1]):
                     return finish(trace, reached=True, fixpoint=False)
                 if not moved:

@@ -87,8 +87,7 @@ class TestSymmetryCache:
         perf.clear_caches()
         stats = perf.cache_stats()
         assert stats["symmetry"] == {"hits": 0, "misses": 0, "bypass": 0,
-                                     "evictions": 0, "incremental_hits": 0,
-                                     "incremental_fallbacks": 0, "classes": 0}
+                                     "evictions": 0, "classes": 0}
 
 
 class TestSymmetricityCache:
@@ -175,122 +174,3 @@ class TestSchedulerIntegration:
             for counter in ("hits", "misses"):
                 assert result.cache_stats[cache][counter] == \
                     after[cache][counter] - before[cache][counter]
-
-
-class TestIncrementalSymmetry:
-    """``prime_symmetry``: conjugate-and-verify across rounds."""
-
-    def _cube_configs(self, contraction=0.5):
-        points = named_pattern("cube")
-        prev = Configuration(points)
-        c = prev.center
-        new_points = [c + contraction * (np.asarray(p) - c) for p in points]
-        return prev, Configuration(new_points)
-
-    def test_coherent_contraction_primes(self):
-        prev, new = self._cube_configs()
-        prev.symmetry  # certify the previous round's group
-        assert perf.prime_symmetry(prev, new) is True
-        stats = perf.cache_stats()["symmetry"]
-        assert stats["incremental_hits"] == 1
-        assert stats["incremental_fallbacks"] == 0
-        # The primed report is the full cube group, and certified:
-        # every element maps the new configuration onto itself.
-        report = new.symmetry
-        assert report.group.spec == prev.symmetry.group.spec
-        rel = new.as_array() - new.center
-        for element in report.group.elements:
-            images = rel @ np.asarray(element).T
-            for image in images:
-                assert np.linalg.norm(rel - image, axis=1).min() < 1e-9
-
-    def test_primed_report_seeds_the_class(self):
-        prev, new = self._cube_configs()
-        prev.symmetry
-        assert perf.prime_symmetry(prev, new)
-        before = perf.cache_stats()["symmetry"]
-        # Congruent queries of the new class (a robot's local view)
-        # must hit the seeded entry, not re-detect.
-        Configuration(_congruent_copy(list(new.points), 13)).symmetry
-        after = perf.cache_stats()["symmetry"]
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
-
-    def test_incoherent_displacement_falls_back(self):
-        points = [np.asarray(p, dtype=float)
-                  for p in named_pattern("cube")]
-        prev = Configuration(points)
-        prev.symmetry
-        # Same radii (shells match bijectively) but one robot moved
-        # tangentially: no common rotation explains the round, so the
-        # Kabsch residual trips the coherence guard.
-        moved = [p.copy() for p in points]
-        radius = float(np.linalg.norm(moved[0] - prev.center))
-        tangent = np.cross(moved[0] - prev.center, [1.0, 0.3, 0.2])
-        perturbed = (moved[0] - prev.center) + 0.3 * tangent
-        moved[0] = prev.center + radius * perturbed / np.linalg.norm(perturbed)
-        new = Configuration(moved)
-        assert perf.prime_symmetry(prev, new) is False
-        stats = perf.cache_stats()["symmetry"]
-        assert stats["incremental_fallbacks"] == 1
-        assert stats["incremental_hits"] == 0
-        # Full detection still runs and is correct: the perturbed cube
-        # has lost its symmetry.
-        report = new.symmetry
-        assert report.kind == "finite"
-        assert report.group.order == 1
-
-    def test_disabled_toggle_skips_priming(self):
-        prev, new = self._cube_configs()
-        prev.symmetry
-        assert perf.incremental_enabled()
-        perf.set_incremental(False)
-        try:
-            assert not perf.incremental_enabled()
-            assert perf.prime_symmetry(prev, new) is False
-            stats = perf.cache_stats()["symmetry"]
-            assert stats["incremental_hits"] == 0
-            assert stats["incremental_fallbacks"] == 0
-        finally:
-            perf.set_incremental(True)
-
-    def test_trivial_group_not_primed(self):
-        rng = np.random.default_rng(3)
-        points = [rng.normal(size=3) for _ in range(6)]
-        prev = Configuration(points)
-        assert prev.symmetry.group.order == 1
-        new = Configuration([0.5 * p for p in points])
-        assert perf.prime_symmetry(prev, new) is False
-        stats = perf.cache_stats()["symmetry"]
-        # Nothing to conjugate: not even counted as a fallback.
-        assert stats["incremental_fallbacks"] == 0
-
-    def test_contracting_run_primes_every_round(self):
-        """End-to-end: a contraction toward the center keeps the
-        configuration's class coherent round over round, so after the
-        first full detection every round is primed."""
-        from repro.robots.adversary import identity_frames
-
-        n = 8
-        points = [np.asarray(p, dtype=float)
-                  for p in named_pattern("cube")]
-
-        def contract(observation):
-            views = np.asarray(observation.points)
-            center = views.mean(axis=0)
-            me = views[observation.self_index]
-            return me + 0.25 * (center - me)
-
-        scheduler = FsyncScheduler(contract, identity_frames(n))
-        # The stop condition consults γ(P) every round, as the real
-        # formation algorithms do; only round 0 pays a full detection.
-        result = scheduler.run(
-            points,
-            stop_condition=lambda c: (c.symmetry.group.order > 0
-                                      and float(c.radius) < 0.2),
-            max_rounds=30)
-        assert result.reached
-        sym = result.cache_stats["symmetry"]
-        assert sym["incremental_hits"] == result.rounds
-        assert sym["incremental_fallbacks"] == 0
-        assert sym["misses"] == 1

@@ -69,6 +69,18 @@ class TestCyclicDihedralDetection:
         report = detect_rotation_group(generic_cloud(9, seed=11))
         assert str(report.spec) == "C1"
 
+    def test_cube_with_one_vertex_slid_is_c1(self):
+        # Every point keeps its radius (one shell, as in the cube), but
+        # one vertex slides tangentially: no cube rotation survives.
+        points = [np.asarray(p, dtype=float) for p in named_pattern("cube")]
+        center = np.mean(points, axis=0)
+        rel = points[0] - center
+        moved = rel + 0.3 * np.cross(rel, [1.0, 0.3, 0.2])
+        points[0] = center + np.linalg.norm(rel) * moved / np.linalg.norm(moved)
+        report = detect_rotation_group(points)
+        assert report.kind == "finite"
+        assert report.group.order == 1
+
     def test_twisted_prism_pair_is_cyclic(self):
         # Two parallel squares with an irrational twist and different
         # radii: only C4 about the axis survives.

@@ -164,21 +164,26 @@ def _canonical_rows(rows) -> str:
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
 def test_experiment_rows_identical_on_both_engines(name):
-    """Forcing the per-robot reference engine changes no row bytes."""
+    """Forcing the per-robot reference engine, or switching the L1
+    caches off, changes no row bytes."""
     from repro.api import ExperimentSpec, run_experiment
 
-    spec = ExperimentSpec(trials=2, seed=0, jobs=1)
     assert batched_compute_enabled()
+    runs = {"batched": (True, ExperimentSpec(trials=2, seed=0, jobs=1)),
+            "per_robot": (False, ExperimentSpec(trials=2, seed=0, jobs=1)),
+            "uncached": (True, ExperimentSpec(trials=2, seed=0, jobs=1,
+                                              cache=False))}
     rendered = {}
     try:
-        for batched in (True, False):
+        for label, (batched, spec) in runs.items():
             set_batched_compute(batched)
             perf.clear_caches()
-            rendered[batched] = _canonical_rows(
+            rendered[label] = _canonical_rows(
                 run_experiment(name, spec).rows)
     finally:
         set_batched_compute(True)
-    assert rendered[True] == rendered[False]
+    assert rendered["per_robot"] == rendered["batched"]
+    assert rendered["uncached"] == rendered["batched"]
 
 
 class _DecliningAlgorithm:
