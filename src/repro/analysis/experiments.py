@@ -24,16 +24,15 @@ items of one chunk once).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.configuration import Configuration
 from repro.core.formability import formability_report
 from repro.core.symmetricity import symmetricity
-from repro.groups.group import GroupSpec
 from repro.groups.subgroups import is_abstract_subgroup
-from repro.patterns import library, polyhedra
+from repro.patterns import polyhedra
 from repro.patterns.library import compose_shells, named_pattern
 from repro.robots.adversary import random_frames, symmetric_frames
 from repro.robots.algorithms.go_to_center import go_to_center_algorithm

@@ -8,19 +8,14 @@ the tests can assert equality.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.configuration import Configuration
 from repro.core.symmetricity import symmetricity
 from repro.groups.catalog import (
-    cyclic_group,
-    dihedral_group,
     icosahedral_group,
     octahedral_group,
     tetrahedral_group,
 )
 from repro.groups.group import GroupSpec, RotationGroup
-from repro.groups.subgroups import maximal_elements
 from repro.patterns.orbits import transitive_set
 
 __all__ = [

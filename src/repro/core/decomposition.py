@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import DetectionError, GroupError
+from repro.errors import GroupError
 from repro.core.configuration import Configuration
 from repro.core.signatures import cylindrical_signature, line_signature
 from repro.geometry.neighbors import neighbor_index
-from repro.geometry.tolerance import AXIS_NORM_FLOOR, DEFAULT_TOL, Tolerance
+from repro.geometry.tolerance import AXIS_NORM_FLOOR, DEFAULT_TOL
 from repro.groups.group import GroupKind, RotationGroup
 
 __all__ = [

@@ -31,7 +31,6 @@ from repro.groups.group import GroupKind, GroupSpec, RotationGroup
 from repro.groups.infinite import InfiniteGroupKind
 from repro.groups.subgroups import (
     enumerate_concrete_subgroups,
-    is_abstract_subgroup,
     maximal_elements,
 )
 

@@ -66,40 +66,40 @@ class ConvexPolyhedron:
         self.faces = self._merge_faces(hull)
 
     def _merge_faces(self, hull: ConvexHull) -> list[Face]:
-        """Group hull simplices by (normal, offset) into true faces."""
+        """Group hull simplices by (normal, offset) into true faces.
+
+        A simplex joins the first face whose first simplex has its
+        normal and offset within the slack, or starts a new face.  So
+        each face's first simplex is the first one no earlier face
+        claimed, and faces come in the order of their first simplices.
+        """
         scale = float(np.abs(self.vertices).max())
         slack = 1e3 * self._tol.abs_tol * max(1.0, scale)
-        groups: list[dict] = []
         centroid = self.vertices.mean(axis=0)
-        for simplex, eq in zip(hull.simplices, hull.equations):
-            normal = eq[:3]
-            offset = eq[3]
-            # Ensure outward orientation relative to the centroid.
-            if float(np.dot(normal, centroid)) + offset > 0:
-                normal = -normal
-                offset = -offset
-            placed = False
-            for group in groups:
-                if (np.linalg.norm(group["normal"] - normal) <= slack
-                        and abs(group["offset"] - offset) <= slack):
-                    group["vertices"].update(int(i) for i in simplex)
-                    placed = True
-                    break
-            if not placed:
-                groups.append({
-                    "normal": normal.copy(),
-                    "offset": float(offset),
-                    "vertices": set(int(i) for i in simplex),
-                })
+        normals = np.array(hull.equations[:, :3], dtype=float)
+        offsets = np.array(hull.equations[:, 3], dtype=float)
+        # Ensure outward orientation relative to the centroid.
+        inward = normals @ centroid + offsets > 0
+        normals[inward] *= -1.0
+        offsets[inward] *= -1.0
+        close = np.linalg.norm(normals[:, None] - normals[None], axis=2) \
+            <= slack
+        close &= np.abs(offsets[:, None] - offsets[None]) <= slack
+        simplices = hull.simplices.tolist()
+        unclaimed = np.ones(len(offsets), dtype=bool)
         faces = []
-        for group in groups:
-            ordered = self._cyclic_order(sorted(group["vertices"]),
-                                         group["normal"])
-            pts = self.vertices[list(ordered)]
+        for first in range(len(offsets)):
+            if not unclaimed[first]:
+                continue
+            members = np.flatnonzero(unclaimed & close[first])
+            unclaimed[members] = False
+            vertices = sorted({i for j in members for i in simplices[j]})
+            normal = normals[first]
+            ordered = self._cyclic_order(vertices, normal)
             faces.append(Face(
                 vertex_indices=tuple(ordered),
-                normal=group["normal"] / np.linalg.norm(group["normal"]),
-                center=pts.mean(axis=0),
+                normal=normal / np.linalg.norm(normal),
+                center=self.vertices[ordered].mean(axis=0),
             ))
         return faces
 
@@ -112,7 +112,11 @@ class ConvexPolyhedron:
         rel0 = pts[0] - center
         u = rel0 - float(np.dot(rel0, n)) * n
         u = u / np.linalg.norm(u)
-        v = np.cross(n, u)
+        # n × u written out: np.cross computes the same products and
+        # differences, at many times the call overhead.
+        v = np.array([n[1] * u[2] - n[2] * u[1],
+                      n[2] * u[0] - n[0] * u[2],
+                      n[0] * u[1] - n[1] * u[0]])
         angles = np.arctan2((pts - center) @ v, (pts - center) @ u)
         order = np.argsort(angles)
         return [indices[i] for i in order]

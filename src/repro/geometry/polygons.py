@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.tolerance import DEFAULT_TOL, Tolerance
-from repro.geometry.vectors import as_vector, normalize, orthonormal_basis_for
+from repro.geometry.vectors import as_vector, orthonormal_basis_for
 
 __all__ = [
     "regular_polygon",

@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.tolerance import DEFAULT_TOL, Tolerance
-from repro.geometry.vectors import as_vector, normalize
+from repro.geometry.vectors import normalize
 
 __all__ = [
     "identity_rotation",

@@ -20,7 +20,7 @@ from repro.geometry.tolerance import (
     LOOSE_TOL,
     Tolerance,
 )
-from repro.geometry.vectors import as_vector, centroid
+from repro.geometry.vectors import as_vector
 
 __all__ = ["Similarity", "are_similar"]
 

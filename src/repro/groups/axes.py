@@ -9,7 +9,7 @@ direction along the line, used when embedding one group into another
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

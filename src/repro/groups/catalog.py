@@ -16,7 +16,6 @@ whose arrangement sits in a canonical coordinate frame:
 
 from __future__ import annotations
 
-import itertools
 
 import numpy as np
 

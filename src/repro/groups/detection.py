@@ -53,7 +53,6 @@ from repro.groups.axes import RotationAxis
 from repro.groups.group import (
     RotationGroup,
     GroupSpec,
-    GroupKind,
     batch_rotation_angles,
     element_key,
 )

@@ -15,11 +15,7 @@ from functools import total_ordering
 import numpy as np
 
 from repro.errors import GroupError
-from repro.geometry.rotations import (
-    is_rotation_matrix,
-    rotation_angle,
-    rotation_axis,
-)
+from repro.geometry.rotations import rotation_angle, rotation_axis
 from repro.geometry.tolerance import DEFAULT_TOL, Tolerance, canonical_round
 from repro.groups.axes import RotationAxis, axis_line_key
 

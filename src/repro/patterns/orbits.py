@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.errors import GroupError
 from repro.geometry.vectors import normalize
-from repro.groups.group import GroupKind, RotationGroup
+from repro.groups.group import RotationGroup
 
 __all__ = ["seed_point_for_folding", "transitive_set", "generic_seed"]
 

@@ -6,8 +6,8 @@ group survives in ``ϱ(P)`` — i.e. the tetrahedral group is not in the
 symmetricity.  Implemented on top of this library's substrate:
 ``ψ_SYM`` breaks the 3D rotation group, then every robot moves into
 the plane through ``b(P)`` perpendicular to the surviving principal
-axis, at a radius that encodes its (cylindrical radius, height) class
-so no two robots collide.
+axis, onto one free ring per orbit at a radius set by the orbit's
+agreed rank, so no two robots collide.
 """
 
 from repro.planeformation.algorithm import (

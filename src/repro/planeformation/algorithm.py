@@ -12,10 +12,18 @@ robots agree on the plane through ``b(P')`` perpendicular to the
 principal axis and on a *planar landing pattern*: one ring per orbit
 of the ``G``-decomposition, each ring a free ``G``-orbit in the plane
 (radius fixed by the orbit's agreed rank, azimuth chosen off the
-secondary axes so the orbit stays free).  The landing pattern is an
-equivariant function of ``P'``, so robots reach it with the standard
-matching ``M(P, F̃)`` machinery — distinct robots land on distinct
-points by construction.
+secondary axes so the orbit stays free).  The rings depend on an
+in-plane reference direction and on the sign of the principal axis,
+and a detected group fixes both only as the detecting frame saw them;
+so the rings are built for every such choice and one is picked by
+the embedding's rotation-invariant joint signature.  The landing
+pattern is thus an equivariant function of ``P'`` alone, and robots
+reach it with the standard matching ``M(P, F̃)`` machinery — distinct
+robots land on distinct points by construction.
+
+Because every robot's landing point is a function of ``P'``, the
+batched path computes the landing and its matching once per round in
+the world frame; non-terminal rounds run ``ψ_SYM``'s batched path.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.decomposition import principal_axis_of_d2
+from repro.core.decomposition import oriented_axis_direction
 from repro.core.local_views import ordered_orbits
 from repro.core.symmetricity import symmetricity
 from repro.errors import SimulationError, UnsolvableError
@@ -33,7 +41,11 @@ from repro.geometry.tolerance import DEFAULT_TOL
 from repro.geometry.vectors import orthonormal_basis_for
 from repro.groups.group import GroupKind
 from repro.robots.algorithms.matching import match_configuration_to_pattern
-from repro.robots.algorithms.sym import is_sym_terminal, psi_sym
+from repro.robots.algorithms.sym import (
+    _dihedral_axes,
+    is_sym_terminal,
+    psi_sym,
+)
 from repro.robots.model import Observation
 
 __all__ = ["is_plane_formable", "make_plane_formation_algorithm",
@@ -59,37 +71,72 @@ def is_coplanar(points, slack_scale: float | None = None) -> bool:
     return float(singular[-1]) <= slack_scale * scale
 
 
-def make_plane_formation_algorithm() -> Callable[[Observation], np.ndarray]:
-    """Build the oblivious plane-formation algorithm."""
+class _PlaneFormation:
+    """Plane formation as a callable: per-robot reference + batched
+    strategy.
 
-    def plane_form(observation: Observation) -> np.ndarray:
+    The batched path (``compute_batch``) makes the coplanarity and
+    ``ψ_SYM``-terminal checks once on the world configuration; both
+    are similarity invariants.  A non-terminal round forwards to
+    ``ψ_SYM``'s own batched path.  A terminal round computes the
+    landing pattern and its matching once and maps the matched world
+    destinations into every robot's frame with one einsum — sound
+    because both are functions of ``P`` alone, so each row is the one
+    the robot's own observation yields.
+    """
+
+    def __call__(self, observation: Observation) -> np.ndarray:
         config = Configuration(observation.points)
         if is_coplanar(config.points):
             return observation.own_position()
         if not is_sym_terminal(config):
             return psi_sym(observation)
-        group = config.rotation_group
-        if group is not None and group.spec.is_3d:
-            raise UnsolvableError(
-                "plane formation unsolvable: a 3D rotation group "
-                "survived symmetry breaking (T in varrho(P))")
-        landing = _planar_landing_pattern(config)
-        destinations = match_configuration_to_pattern(config, landing)
-        return destinations[observation.self_index]
+        return _landing_destinations(config)[observation.self_index]
 
-    return plane_form
+    def compute_batch(self, batch) -> np.ndarray:
+        config = batch.configuration()
+        if is_coplanar(config.points):
+            return batch.own_rows()
+        if not is_sym_terminal(config):
+            return psi_sym.compute_batch(batch)
+        return batch.to_local(_landing_destinations(config))
 
 
-def _agreed_frame(config: Configuration) -> tuple[np.ndarray, np.ndarray,
-                                                  np.ndarray]:
-    """In-plane directions ``(u, v)`` and the plane normal ``w``.
+def make_plane_formation_algorithm() -> Callable[[Observation], np.ndarray]:
+    """Build the oblivious plane-formation algorithm.
 
-    ``w`` is the principal axis when the surviving group is nontrivial
-    (``u`` anchored on a secondary axis for dihedral groups, on the
-    first off-axis orbit for cyclic ones); for ``C_1`` a canonical
-    frame from the configuration is used.  All choices are
-    equivariant; residual in-plane spin is absorbed by the landing
-    pattern's ``G``-invariance.
+    The returned algorithm implements
+    :class:`repro.robots.model.BatchedAlgorithm`, so the scheduler
+    computes whole rounds in one call.
+    """
+    return _PlaneFormation()
+
+
+def _landing_destinations(config: Configuration) -> list[np.ndarray]:
+    """Every robot's landing point in a ``ψ_SYM``-terminal ``P``."""
+    group = config.rotation_group
+    if group is not None and group.spec.is_3d:
+        raise UnsolvableError(
+            "plane formation unsolvable: a 3D rotation group "
+            "survived symmetry breaking (T in varrho(P))")
+    landing = _planar_landing_pattern(config)
+    return match_configuration_to_pattern(config, landing)
+
+
+def _agreed_frames(config: Configuration
+                   ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every in-plane basis ``(u, v)`` the robots could agree on.
+
+    The plane is normal to the principal axis ``w`` when the surviving
+    group is nontrivial; ``u`` is an in-plane reference direction (a
+    secondary axis for dihedral groups, the first off-axis orbit's
+    azimuth for cyclic ones) and ``v = w × u``.  A group's axis
+    directions carry no sign and its secondary axes no order, so one
+    basis per choice is returned: ``±s`` for every secondary axis
+    ``s`` of a dihedral group (the sign of ``w`` is absorbed there by
+    the half-turns about ``s``), and ``±w`` for a cyclic group whose
+    axis ``P`` does not orient.  For ``C_1`` the canonical frame of
+    the configuration gives the only basis.
     """
     group = config.rotation_group
     if group is None:
@@ -98,20 +145,19 @@ def _agreed_frame(config: Configuration) -> tuple[np.ndarray, np.ndarray,
         from repro.robots.algorithms.embedding import _canonical_frame
 
         frame = _canonical_frame(config)
-        return frame[:, 0], frame[:, 1], frame[:, 2]
-    if group.spec.kind is GroupKind.DIHEDRAL and group.spec.param == 2:
-        w = principal_axis_of_d2(config, group)
-    else:
-        w = group.principal_axis.direction
+        return [(frame[:, 0], frame[:, 1])]
     if group.spec.kind is GroupKind.DIHEDRAL:
-        secondary = next(a.direction for a in group.axes
-                         if abs(float(np.dot(a.direction, w)))
-                         < DEFAULT_TOL.geometric_slack(1.0))
-        u = secondary / np.linalg.norm(secondary)
-    else:
-        u = _first_offaxis_azimuth(config, w)
-    v = np.cross(w, u)
-    return u, v, w
+        w, secondary = _dihedral_axes(config, group)
+        frames = []
+        for axis in secondary:
+            s = axis / np.linalg.norm(axis)
+            frames += [(u, np.cross(w, u)) for u in (s, -s)]
+        return frames
+    w = group.principal_axis.direction
+    oriented = oriented_axis_direction(config, w, group)
+    u = _first_offaxis_azimuth(config, w)
+    return [(u, np.cross(d, u))
+            for d in ([w, -w] if oriented is None else [oriented])]
 
 
 def _first_offaxis_azimuth(config: Configuration,
@@ -130,9 +176,23 @@ def _first_offaxis_azimuth(config: Configuration,
 
 
 def _planar_landing_pattern(config: Configuration) -> list[np.ndarray]:
-    """One free in-plane ``G``-orbit (ring) per orbit of ``P``."""
+    """One free in-plane ``G``-orbit (ring) per orbit of ``P``.
+
+    The rings are built in every agreed frame, and the candidates are
+    ranked by the embedding's rotation-invariant joint signature, so
+    the pattern is a function of ``P`` and not of the frame that
+    happened to detect ``γ(P)``.
+    """
+    from repro.robots.algorithms.embedding import _pick_canonical
+
+    candidates = [_rings(config, u, v) for u, v in _agreed_frames(config)]
+    return _pick_canonical(config, candidates)
+
+
+def _rings(config: Configuration, u: np.ndarray,
+           v: np.ndarray) -> list[np.ndarray]:
+    """The landing rings in the in-plane frame ``(u, v)``."""
     group = config.rotation_group
-    u, v, w = _agreed_frame(config)
     center = config.center
     radius = config.radius
     orbits = ordered_orbits(config, group)

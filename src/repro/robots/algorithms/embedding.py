@@ -418,8 +418,8 @@ def _pick_canonical(config: Configuration,
         # candidates tie whenever P is achiral.  Separate them with a
         # handedness-aware signature (triple products are preserved by
         # rotations but flip under reflections).
-        chiral = sorted((_chiral_signature(config, placed), placed)
-                        for placed in ties)
+        chiral = sorted(((_chiral_signature(config, placed), placed)
+                         for placed in ties), key=lambda item: item[0])
         best_chiral = chiral[0][0]
         chiral_ties = [placed for key, placed in chiral
                        if key == best_chiral]

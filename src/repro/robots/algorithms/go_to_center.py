@@ -106,24 +106,14 @@ def go_to_center_destination(points, own_index: int) -> np.ndarray:
     similarity-equivariant).  Raises if the points are not one of the
     seven polyhedra.
     """
-    name = recognize_goc_polyhedron(points)
-    if name is None:
+    pts = np.asarray(list(points), dtype=float)
+    info = _goc_round_info(pts, 1.0)
+    if info is None:
         raise GeometryError(
             "go-to-center applies only to the seven transitive polyhedra")
-    hull = ConvexPolyhedron(points)
-    epsilon = hull.min_edge_length() * EPSILON_FRACTION
-    faces = hull.faces_of_vertex(own_index)
-    restriction = _FACE_RESTRICTION.get(name)
-    if restriction is not None:
-        faces = [f for f in faces if f.size == restriction]
-    if not faces:
-        raise GeometryError("no admissible adjacent face found")
-    own = np.asarray(points[own_index], dtype=float)
-    face = min(faces, key=lambda f: tuple(
-        canonical_round(f.center - own, 9).tolist()))
-    to_center = face.center - own
-    distance = float(np.linalg.norm(to_center))
-    return own + to_center * (1.0 - epsilon / distance)
+    _, admissible, edge = info  # unit radius: the ratio is the edge
+    return _local_face_choice(pts, own_index, admissible[own_index],
+                              edge * EPSILON_FRACTION)
 
 
 def _goc_round_info(points, radius: float):

@@ -37,12 +37,17 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.core.decomposition import principal_axis_of_d2
 from repro.core.local_views import ordered_orbits
-from repro.errors import SimulationError
+from repro.errors import GeometryError, SimulationError
 from repro.geometry.polygons import regular_polygon_fold
 from repro.geometry.rotations import rotation_about_axis
 from repro.geometry.tolerance import DEFAULT_TOL, canonical_round
 from repro.groups.group import GroupKind, RotationGroup
-from repro.robots.algorithms.go_to_center import go_to_center_destination
+from repro.robots.algorithms.go_to_center import (
+    EPSILON_FRACTION,
+    _goc_round_info,
+    _local_face_choice,
+    go_to_center_destination,
+)
 from repro.robots.model import Observation
 
 __all__ = ["psi_sym", "is_sym_terminal"]
@@ -76,10 +81,17 @@ class _PsiSym:
     Expand guard, which orbit sits on occupied axes) is similarity-
     invariant, so the decision is the one each robot reaches from its
     own observation.  Frame-*independent* moves (Expand, Shrink) are
-    then pure vectorized radial formulas; frame-*dependent* moves
-    (go-to-sphere, go-to-corner, go-to-center — the symmetry-breaking
-    choices, at most one orbit of at most ``|G|`` robots) delegate to
-    the per-robot reference on zero-copy tensor rows.
+    then pure vectorized radial formulas.  Frame-*dependent* moves
+    (go-to-sphere, leaving a line, go-to-corner, go-to-center — the
+    symmetry-breaking choices, at most one orbit of at most ``|G|``
+    robots) take their invariant part from the same world analysis:
+    the inner radius, the group's axes, the ``D_2`` principal axis, the
+    reference prism's corners and the polyhedron's face combinatorics.
+    Each mover then makes only its local choice on those quantities
+    mapped into its own frame — :func:`_free_direction`,
+    :func:`_nearest_corner` or
+    :func:`~repro.robots.algorithms.go_to_center._local_face_choice`,
+    the same functions the per-robot path calls.
     """
 
     def __call__(self, observation: Observation) -> np.ndarray:
@@ -94,24 +106,65 @@ class _PsiSym:
         if report.kind == "degenerate":
             return destinations
 
-        def delegate(indices) -> None:
-            for i in indices:
-                destinations[i] = self(batch.observation(int(i)))
-
         center = config.center
         radius = float(config.radius)
         slack = DEFAULT_TOL.geometric_slack(radius)
         world = np.asarray(batch.points, dtype=float)
         dists = np.linalg.norm(world - center, axis=1)
+        positive = dists[dists > slack]
+        inner = float(positive.min()) if positive.size else radius
+
+        def radial_rows(movers, target_radius: float) -> None:
+            rel = world[movers] - center
+            r = np.linalg.norm(rel, axis=1)
+            wdest = center + rel * (target_radius / r)[:, None]
+            destinations[movers] = batch.to_local_rows(movers, wdest)
+
+        def sphere_rows(movers, avoid_lines, equator_normal) -> None:
+            # go-to-sphere: each mover's free direction, found in its
+            # own frame (R_iᵀ of the world lines), mapped back out.
+            wdest = np.empty((len(movers), 3))
+            for j, i in enumerate(movers):
+                rot = batch.rotations[i]
+                direction = _free_direction(
+                    [line @ rot for line in avoid_lines],
+                    None if equator_normal is None else equator_normal @ rot)
+                wdest[j] = center + (inner / 2.0) * (rot @ direction)
+            destinations[movers] = batch.to_local_rows(movers, wdest)
+
+        def corner_rows(movers, principal, secondary) -> None:
+            corners = np.asarray(
+                _prism_corners(center, inner, principal, secondary))
+            for i in movers:
+                scale = float(batch.scales[i])
+                local = ((corners - world[i]) @ batch.rotations[i]) / scale
+                destinations[i] = _nearest_corner(
+                    list(local), batch.local[i][i],
+                    DEFAULT_TOL.geometric_slack(radius / scale))
+
+        def center_rows(selected, movers) -> None:
+            if not movers:
+                return
+            info = _goc_round_info(world[selected], 1.0)
+            if info is None:
+                raise GeometryError(
+                    "go-to-center applies only to the seven transitive "
+                    "polyhedra")
+            _, admissible, edge = info  # unit radius: ratio = edge
+            for i in movers:
+                k = selected.index(i)
+                epsilon = edge / float(batch.scales[i]) * EPSILON_FRACTION
+                destinations[i] = _local_face_choice(
+                    batch.local[i][selected], k, admissible[k], epsilon)
+
         at_center = np.nonzero(dists <= slack)[0]
-        delegate(at_center)  # go-to-sphere, frame-dependent direction
+        if at_center.size:
+            sphere_rows(at_center, *_sphere_constraints(config, report.group))
 
         if report.kind == "collinear":
-            positive = dists[dists > slack]
-            inner = float(positive.min()) if positive.size else radius
             movers = np.nonzero((dists > slack)
                                 & (dists <= inner + 10 * slack))[0]
-            delegate(movers)  # leave the line, frame-dependent
+            sphere_rows(movers, [report.line_direction], None)
             return destinations
 
         group = report.group
@@ -134,22 +187,13 @@ class _PsiSym:
             orbit_set = set(orbit)
             others = dists[[i for i in range(batch.n)
                             if i not in orbit_set]]
-            inner = float(others.min())
-            movers = off_center(orbit)
-            rel = world[movers] - center
-            r = np.linalg.norm(rel, axis=1)
-            wdest = center + rel * (inner / 2.0 / r)[:, None]
-            destinations[movers] = batch.to_local_rows(movers, wdest)
+            radial_rows(off_center(orbit), float(others.min()) / 2.0)
 
         if group.spec.kind is not GroupKind.CYCLIC:
             on_ball = {int(i) for i
                        in np.nonzero(dists >= radius - 10 * slack)[0]}
             if on_ball != set(orbits[-1]):
-                movers = off_center(orbits[-1])
-                rel = world[movers] - center
-                r = np.linalg.norm(rel, axis=1)
-                wdest = center + rel * (2.0 * radius / r)[:, None]
-                destinations[movers] = batch.to_local_rows(movers, wdest)
+                radial_rows(off_center(orbits[-1]), 2.0 * radius)
                 return destinations
 
         kind = group.spec.kind
@@ -161,24 +205,20 @@ class _PsiSym:
             if selected != orbits[0]:
                 shrink_rows(selected)
             else:
-                delegate(off_center(selected))  # go-to-sphere
+                sphere_rows(off_center(selected),
+                            *_sphere_constraints(config, group))
             return destinations
 
         if kind is GroupKind.DIHEDRAL:
-            if group.spec.param == 2:
-                principal = principal_axis_of_d2(config, group)
-            else:
-                principal = group.principal_axis.direction
-            secondary = [a.direction for a in group.axes
-                         if float(abs(np.dot(a.direction, principal)))
-                         < DEFAULT_TOL.geometric_slack(1.0)]
+            principal, secondary = _dihedral_axes(config, group)
             on_principal = _first_orbit_on_lines(config, orbits,
                                                  [principal])
             if on_principal is not None:
                 if on_principal != orbits[0]:
                     shrink_rows(on_principal)
                 else:
-                    delegate(off_center(on_principal))  # go-to-corner
+                    corner_rows(off_center(on_principal), principal,
+                                secondary)
                 return destinations
             on_secondary = _first_orbit_on_lines(config, orbits, secondary)
             if on_secondary is None \
@@ -187,22 +227,19 @@ class _PsiSym:
             if on_secondary != orbits[0]:
                 shrink_rows(on_secondary)
             else:
-                delegate(off_center(on_secondary))  # go-to-corner
+                corner_rows(off_center(on_secondary), principal, secondary)
             return destinations
 
-        occupied_folds = sorted({a.fold for a in group.axes if a.occupied},
-                                reverse=True)
-        if not occupied_folds:
+        lines = _polyhedral_lines(group)
+        if not lines:
             return destinations
-        lines = [a.direction for a in group.axes
-                 if a.fold == occupied_folds[0] and a.occupied]
         selected = _first_orbit_on_lines(config, orbits, lines)
         if selected is None:
             return destinations
         if selected != orbits[0]:
             shrink_rows(selected)
         else:
-            delegate(off_center(selected))  # go-to-center
+            center_rows(selected, off_center(selected))
         return destinations
 
 
@@ -269,7 +306,8 @@ def _cyclic_case(observation, config, group, orbits):
     return _go_to_sphere(observation, config, group)
 
 
-def _dihedral_case(observation, config, group, orbits):
+def _dihedral_axes(config, group) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The principal axis of a dihedral ``γ(P)`` and its secondary axes."""
     if group.spec.param == 2:
         principal = principal_axis_of_d2(config, group)
     else:
@@ -277,6 +315,11 @@ def _dihedral_case(observation, config, group, orbits):
     secondary = [a.direction for a in group.axes
                  if float(abs(np.dot(a.direction, principal)))
                  < DEFAULT_TOL.geometric_slack(1.0)]
+    return principal, secondary
+
+
+def _dihedral_case(observation, config, group, orbits):
+    principal, secondary = _dihedral_axes(config, group)
 
     on_principal = _first_orbit_on_lines(config, orbits, [principal])
     if on_principal is not None:
@@ -296,14 +339,20 @@ def _dihedral_case(observation, config, group, orbits):
     return _go_to_corner(observation, config, principal, secondary)
 
 
-def _polyhedral_case(observation, config, group, orbits):
+def _polyhedral_lines(group) -> list[np.ndarray]:
+    """The occupied axes of the highest occupied fold (empty if none)."""
     occupied_folds = sorted({a.fold for a in group.axes if a.occupied},
                             reverse=True)
     if not occupied_folds:
+        return []
+    return [a.direction for a in group.axes
+            if a.fold == occupied_folds[0] and a.occupied]
+
+
+def _polyhedral_case(observation, config, group, orbits):
+    lines = _polyhedral_lines(group)
+    if not lines:
         return None
-    max_fold = occupied_folds[0]
-    lines = [a.direction for a in group.axes
-             if a.fold == max_fold and a.occupied]
     selected = _first_orbit_on_lines(config, orbits, lines)
     if selected is None:
         return None
@@ -367,20 +416,28 @@ def _go_to_sphere(observation, config,
     positive = [r for r in radii if r > slack]
     inner = min(positive) if positive else config.radius
     target_radius = inner / 2.0
-
-    avoid_lines = []
-    equator_normal = None
-    if group is not None and not group.is_trivial:
-        avoid_lines = [a.direction for a in group.axes]
-        if group.spec.is_2d:
-            if group.spec.kind is GroupKind.DIHEDRAL and group.spec.param == 2:
-                equator_normal = principal_axis_of_d2(config, group)
-            else:
-                principal = group.principal_axis
-                if principal is not None:
-                    equator_normal = principal.direction
-    direction = _free_direction(avoid_lines, equator_normal)
+    direction = _free_direction(*_sphere_constraints(config, group))
     return center + target_radius * direction
+
+
+def _sphere_constraints(config, group: RotationGroup | None):
+    """What a go-to-sphere direction must avoid, in ``config``'s frame.
+
+    Returns the rotation axes of ``group`` and, for 2D groups, the
+    normal of the equator (the principal axis).
+    """
+    if group is None or group.is_trivial:
+        return [], None
+    avoid_lines = [a.direction for a in group.axes]
+    equator_normal = None
+    if group.spec.is_2d:
+        if group.spec.kind is GroupKind.DIHEDRAL and group.spec.param == 2:
+            equator_normal = principal_axis_of_d2(config, group)
+        else:
+            principal = group.principal_axis
+            if principal is not None:
+                equator_normal = principal.direction
+    return avoid_lines, equator_normal
 
 
 def _free_direction(avoid_lines, equator_normal,
@@ -425,6 +482,13 @@ def _go_to_corner(observation, config, principal,
     radii = [float(np.linalg.norm(p - center)) for p in observation.points]
     positive = [r for r in radii if r > slack]
     inner = min(positive) if positive else config.radius
+    corners = _prism_corners(center, inner, principal, secondary)
+    return _nearest_corner(corners, own, slack)
+
+
+def _prism_corners(center, inner: float, principal,
+                   secondary) -> list[np.ndarray]:
+    """The reference prism's vertices for inner radius ``inner``."""
     rho = inner / 4.0
     height = inner * np.sqrt(3.0) / 4.0
     z_hat = np.asarray(principal, dtype=float)
@@ -436,6 +500,12 @@ def _go_to_corner(observation, config, principal,
         for u in (s_hat, -s_hat):
             for z in (height, -height):
                 corners.append(center + rho * u + z * z_hat)
+    return corners
+
+
+def _nearest_corner(corners, own, slack: float) -> np.ndarray:
+    """The corner nearest ``own``; ties go to the lexicographically
+    smallest corner in the robot's own coordinates."""
     best_distance = min(float(np.linalg.norm(c - own)) for c in corners)
     nearest = [c for c in corners
                if float(np.linalg.norm(c - own)) <= best_distance + slack]

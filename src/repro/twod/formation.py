@@ -24,7 +24,7 @@ from repro.geometry.tolerance import (
     DEFAULT_TOL,
 )
 
-from repro.errors import MatchingError, SimulationError, UnsolvableError
+from repro.errors import MatchingError, UnsolvableError
 from repro.twod.sim import Observation2D
 from repro.twod.symmetricity import (
     center_2d,

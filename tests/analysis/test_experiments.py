@@ -1,7 +1,5 @@
 """Smoke tests for the experiment drivers behind the benchmarks."""
 
-import pytest
-
 from repro.analysis.experiments import GOC_POLYHEDRA
 from repro.api import ExperimentSpec, run_experiment
 

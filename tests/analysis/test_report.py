@@ -1,7 +1,5 @@
 """Tests for the EXPERIMENTS.md report generator."""
 
-from pathlib import Path
-
 from repro.analysis.report import generate_report, main
 
 

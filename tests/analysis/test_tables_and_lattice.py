@@ -1,7 +1,6 @@
 """Tests for the table/figure regeneration (Tables 1–3, Figure 4)."""
 
 import networkx as nx
-import pytest
 
 from repro.analysis.lattice import (
     PAPER_FIGURE4_EDGES,

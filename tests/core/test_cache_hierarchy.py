@@ -16,7 +16,7 @@ from repro.core.configuration import Configuration
 from repro.groups.catalog import icosahedral_group, octahedral_group
 from repro.groups.subgroups import enumerate_concrete_subgroups
 from repro.patterns.library import named_pattern
-from repro.perf import disk, shared
+from repro.perf import disk
 from repro.perf.parallel import parallel_map, process_pool, worker_task
 from repro.perf.shared import SharedStore, l2_stats
 from repro.perf.stats import exact_digest, group_digest, hierarchy_stats

@@ -12,12 +12,7 @@ from repro.core.decomposition import (
     principal_axis_of_d2,
 )
 from repro.errors import GroupError
-from repro.groups.catalog import (
-    cyclic_group,
-    dihedral_group,
-    octahedral_group,
-    tetrahedral_group,
-)
+from repro.groups.catalog import cyclic_group, tetrahedral_group
 from repro.patterns import polyhedra
 from repro.patterns.library import compose_shells, named_pattern
 

@@ -1,7 +1,6 @@
 """Tests for the equivariant geometric signatures."""
 
 import numpy as np
-import pytest
 
 from repro.core.signatures import (
     cylindrical_signature,

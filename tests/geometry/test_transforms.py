@@ -6,7 +6,6 @@ import pytest
 from repro.errors import GeometryError
 from repro.geometry.rotations import rotation_about_axis
 from repro.geometry.transforms import Similarity, are_similar
-from repro.patterns.library import named_pattern
 from tests.conftest import generic_cloud
 
 

@@ -11,7 +11,7 @@ from repro.groups.catalog import (
     octahedral_group,
     tetrahedral_group,
 )
-from repro.groups.group import GroupKind, GroupSpec, RotationGroup
+from repro.groups.group import GroupSpec, RotationGroup
 
 
 class TestGroupSpec:

@@ -13,7 +13,6 @@ from repro import (
     form_pattern,
     formability_report,
     is_formable,
-    random_frames,
     symmetric_frames,
     symmetricity,
 )

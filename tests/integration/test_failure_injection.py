@@ -11,7 +11,6 @@ from repro.errors import (
     GroupError,
     SimulationError,
 )
-from repro.patterns.library import named_pattern
 from repro.robots.adversary import identity_frames
 from repro.robots.model import LocalFrame, Observation
 from repro.robots.scheduler import FsyncScheduler

@@ -7,8 +7,9 @@ would have chosen from its own observation alone.  This suite holds
 the two engines together three ways:
 
 * per-round destination equivalence over a configuration zoo covering
-  all three ported algorithms (go-to-center, ψ_SYM, ψ_PF) under
-  adversarial local frames;
+  the ported algorithms (go-to-center, ψ_SYM with each of its
+  symmetry-breaking moves, ψ_PF, plane formation with its landing
+  phase) under adversarial local frames;
 * byte-identical experiment rows for every registered experiment with
   the batched engine forced on and forced off;
 * the fallback contract — algorithms without ``compute_batch`` (or
@@ -24,10 +25,13 @@ import pytest
 
 from repro import perf
 from repro.core.configuration import Configuration
+from repro.geometry import convex
 from repro.obs import metrics as _metrics
 from repro.patterns import polyhedra
 from repro.patterns.library import named_pattern
+from repro.planeformation import make_plane_formation_algorithm
 from repro.robots.adversary import random_frames
+from repro.robots.algorithms import sym
 from repro.robots.algorithms.go_to_center import go_to_center_algorithm
 from repro.robots.algorithms.pattern_formation import (
     make_pattern_formation_algorithm,
@@ -123,6 +127,114 @@ def test_batched_destinations_match_per_robot(seed):
     scale = max(Configuration(points).radius, 1.0)
     for a, b in zip(batched, reference):
         assert float(np.linalg.norm(a - b)) <= 1e-7 * scale
+
+
+def _step_both(algorithm, points, frames, reference_l1=True):
+    """One round on each engine; the reference may run with L1 off."""
+    perf.clear_caches()
+    before = _fallbacks()
+    batched = FsyncScheduler(algorithm, frames, batched=True).step(points)
+    assert _fallbacks() == before  # the batched path actually ran
+    perf.clear_caches()
+    perf.set_enabled(reference_l1)
+    try:
+        reference = FsyncScheduler(algorithm, frames,
+                                   batched=False).step(points)
+    finally:
+        perf.set_enabled(True)
+    scale = max(Configuration(points).radius, 1.0)
+    for a, b in zip(batched, reference):
+        assert float(np.linalg.norm(a - b)) <= 1e-7 * scale
+
+
+def _pentagon(z: float = 0.0) -> list[np.ndarray]:
+    return [np.array([np.cos(2 * np.pi * k / 5),
+                      np.sin(2 * np.pi * k / 5), z]) for k in range(5)]
+
+
+# ψ_SYM inputs whose first round is a frame-dependent move, with the
+# per-robot function that move must pass through.
+SYMMETRY_BREAKING = {
+    "D5_corner": (_pentagon() + [np.array([0.0, 0.0, 0.3]),
+                                 np.array([0.0, 0.0, -0.3])],
+                  "_go_to_corner"),
+    "D2_corner": ([np.array([x, y, 0.0]) for x in (1.0, -1.0)
+                   for y in (0.6, -0.6)]
+                  + [np.array([0.0, 0.0, 0.2]),
+                     np.array([0.0, 0.0, -0.2])],
+                  "principal_axis_of_d2"),
+    "C5_sphere": (_pentagon() + [np.array([0.0, 0.0, 0.4])],
+                  "_go_to_sphere"),
+    # The selected orbit is the centre robot alone: it goes to the
+    # sphere and no robot runs go-to-center.
+    "cube_centre": (named_pattern("cube") + [np.zeros(3)],
+                    "_go_to_sphere"),
+}
+
+# ψ_SYM-terminal inputs: plane formation's first round is the landing.
+TERMINAL = {
+    "prism3": polyhedra.prism(3),
+    "antiprism5": polyhedra.antiprism(5),
+    "antiprism4_prism4": polyhedra.antiprism(4)
+    + [0.5 * p for p in polyhedra.prism(4)],
+    "cloud": [np.random.default_rng(5).normal(size=3) for _ in range(9)],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(SYMMETRY_BREAKING))
+def test_symmetry_breaking_moves_match_per_robot(name, seed, monkeypatch):
+    """Go-to-corner (D_k and D_2), go-to-sphere and the occupied
+    centre: the world-frame plan lands where each robot's own
+    derivation does."""
+    shape, expected = SYMMETRY_BREAKING[name]
+    calls = []
+    original = getattr(sym, expected)
+
+    def counted(*args, **kwargs):
+        calls.append(expected)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sym, expected, counted)
+    rng = np.random.default_rng(seed)
+    points = _posed(shape, rng)
+    _step_both(psi_sym, points, random_frames(len(points), rng))
+    assert calls  # the zoo reaches the move it is named for
+
+
+@pytest.mark.parametrize("reference_l1", [True, False],
+                         ids=["l1", "no_l1"])
+@pytest.mark.parametrize("name", sorted(SYMMETRY_BREAKING) + sorted(TERMINAL))
+def test_plane_formation_matches_per_robot(name, reference_l1):
+    """Plane formation's batched round — ψ_SYM or the landing — against
+    the per-robot reference, with and without L1 on the reference."""
+    shape = SYMMETRY_BREAKING[name][0] if name in SYMMETRY_BREAKING \
+        else TERMINAL[name]
+    for seed in range(3):
+        rng = np.random.default_rng(20 + seed)
+        points = _posed(shape, rng)
+        _step_both(make_plane_formation_algorithm(), points,
+                   random_frames(len(points), rng), reference_l1)
+
+
+def test_go_to_center_round_builds_one_hull(monkeypatch):
+    """ψ_SYM's go-to-center round on an icosahedron builds the hull once
+    in the world frame, not once per moving robot."""
+    built = []
+    original = convex.ConvexPolyhedron.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(convex.ConvexPolyhedron, "__init__", counted)
+    rng = np.random.default_rng(3)
+    points = _posed(named_pattern("icosahedron"), rng)
+    scheduler = FsyncScheduler(psi_sym, random_frames(12, rng),
+                               batched=True)
+    moved = scheduler.step(points)
+    assert len(built) == 1
+    assert not np.allclose(np.asarray(moved), np.asarray(points))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -11,7 +11,6 @@ from repro.groups.catalog import (
     cyclic_group,
     dihedral_group,
     group_from_spec,
-    icosahedral_group,
     octahedral_group,
     tetrahedral_group,
 )

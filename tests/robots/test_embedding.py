@@ -10,7 +10,7 @@ from repro.geometry.transforms import are_similar
 from repro.patterns import polyhedra
 from repro.patterns.library import named_pattern
 from repro.robots.adversary import random_frames
-from repro.robots.algorithms.embedding import embed_target
+from repro.robots.algorithms.embedding import _pick_canonical, embed_target
 from repro.robots.algorithms.sym import is_sym_terminal, psi_sym
 from repro.robots.scheduler import FsyncScheduler
 from tests.conftest import generic_cloud
@@ -144,3 +144,32 @@ class TestGroupAlignment:
         target = named_pattern("cube") * 3
         embedded = embed_target(config, target)
         assert are_similar(embedded, target)
+
+
+class TestCanonicalPick:
+    """``_pick_canonical``'s chiral tie-break on equal signatures."""
+
+    PYRAMID = Configuration(
+        [np.array([x, y, 0.0]) for x in (1.0, -1.0) for y in (1.0, -1.0)]
+        + [np.array([0.0, 0.0, 1.5])])
+    PLACED = [np.array([0.3, 0.2, 0.5]), np.array([-0.1, 0.4, 0.2])]
+
+    def test_equal_chiral_signatures_of_one_set(self):
+        # The reordered copy ties with the original on both signatures;
+        # the mirror image ties on distances only.  The tie is one set,
+        # so that set is chosen.
+        mirrored = [p * np.array([-1.0, 1.0, 1.0]) for p in self.PLACED]
+        chosen = _pick_canonical(
+            self.PYRAMID, [self.PLACED, self.PLACED[::-1], mirrored])
+        key = sorted(tuple(np.round(p, 9)) for p in chosen)
+        assert key == sorted(tuple(np.round(p, 9)) for p in self.PLACED)
+
+    def test_equal_chiral_signatures_of_two_sets(self):
+        # A quarter turn about the pyramid's axis is a symmetry of P, so
+        # the turned copy ties on every signature: the embedding is
+        # ambiguous.
+        quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0],
+                            [0.0, 0.0, 1.0]])
+        turned = [quarter @ p for p in self.PLACED]
+        with pytest.raises(EmbeddingError):
+            _pick_canonical(self.PYRAMID, [self.PLACED, turned])

@@ -1,7 +1,6 @@
 """Tests for randomized pattern formation (beyond Theorem 1.1)."""
 
 import numpy as np
-import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.formability import is_formable

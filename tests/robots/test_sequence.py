@@ -6,7 +6,6 @@ import pytest
 from repro.core.configuration import Configuration
 from repro.errors import UnsolvableError
 from repro.patterns import polyhedra
-from repro.patterns.library import named_pattern
 from repro.robots.adversary import random_frames
 from repro.robots.algorithms.sequence import (
     make_sequence_formation_algorithm,

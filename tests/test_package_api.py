@@ -1,8 +1,5 @@
 """Tests for the top-level package API surface."""
 
-import numpy as np
-import pytest
-
 
 class TestPublicApi:
     def test_all_exports_resolve(self):
