@@ -20,8 +20,7 @@ lint: reprolint
 	fi
 
 reprolint:
-	$(PYTHON) -m repro.lint src benchmarks \
-		--cache-dir .repro-lint-cache
+	$(PYTHON) -m repro.lint src benchmarks
 
 # Type check the strictly-annotated subset (lint framework + geometry
 # core + the repro.api/campaign/serve facades).  mypy comes from the

@@ -18,12 +18,16 @@ lists them) or paths to JSON files containing an ``n x 3`` array of
 coordinates.
 
 The ``form`` and ``experiment`` commands share a uniform flag
-vocabulary: ``--seed`` / ``--jobs`` / ``--cache-stats`` everywhere,
-plus the observability sinks ``--trace PATH`` (JSONL span trace) and
+vocabulary: ``--seed`` / ``--cache-stats`` everywhere, plus the
+observability sinks ``--trace PATH`` (JSONL span trace) and
 ``--metrics PATH`` (JSON logical-counter snapshot); ``experiment``
-additionally takes ``--manifest PATH`` for the run manifest.  The
-``experiment`` command is a thin shell over
-:func:`repro.api.run_experiment`.
+additionally takes ``--jobs N`` for its trial fan-out and
+``--manifest PATH`` for the run manifest (a formation is one FSYNC
+execution, so ``form`` has no ``--jobs``).  The ``experiment``
+command is a thin shell over :func:`repro.api.run_experiment`.
+
+``repro lint`` hands its arguments to :func:`repro.lint.cli.main`
+unparsed, so reprolint's options are declared only there.
 """
 
 from __future__ import annotations
@@ -120,9 +124,6 @@ def _cmd_form(args) -> int:
 
     initial = _load_pattern(args.initial)
     target = _load_pattern(args.target)
-    if args.jobs > 1:
-        print("note: a formation run is one FSYNC execution; "
-              "--jobs applies to `experiment` fan-outs", file=sys.stderr)
     tracer = JsonlTracer(args.trace) if args.trace else NULL_TRACER
     before = _metrics.registry().snapshot()
     try:
@@ -358,21 +359,6 @@ def _cmd_tables(_args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv = list(args.paths)
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
-
-
 _EXIT_CODES_EPILOG = """\
 exit codes:
   0  success (for `check`/`form`: formable / pattern formed)
@@ -383,13 +369,9 @@ exit codes:
 
 
 def _add_observability_flags(command, *, manifest: bool) -> None:
-    """The uniform --seed/--jobs/--cache-stats/--trace/--metrics set."""
+    """The uniform --seed/--cache-stats/--trace/--metrics set."""
     command.add_argument("--seed", type=int, default=0,
                          help="root seed (default 0)")
-    command.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the trial fan-out; rows and logical "
-             "counters are identical for any value")
     command.add_argument(
         "--cache-stats", action="store_true",
         help="print L1/L2/L3 cache-hierarchy counters to stderr")
@@ -446,6 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--trials", type=int, default=None,
         help="random trials per row (where applicable; default: the "
              "driver's documented default)")
+    experiment.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the trial fan-out; rows and logical "
+             "counters are identical for any value")
     _add_observability_flags(experiment, manifest=True)
     experiment.set_defaults(func=_cmd_experiment)
 
@@ -567,25 +553,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("tables", help="regenerate the paper's tables"
                    ).set_defaults(func=_cmd_tables)
 
-    lint = sub.add_parser(
-        "lint", help="run reprolint (REP001-REP011 invariant checks, "
-                     "including the cross-module dataflow rules)")
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories (default: src benchmarks)")
-    lint.add_argument("--format", choices=["text", "json", "sarif"],
-                      default="text")
-    lint.add_argument("--output", help="write the report to a file")
-    lint.add_argument("--cache-dir",
-                      help="incremental analysis cache directory")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="list rule ids and summaries, then exit")
-    lint.set_defaults(func=_cmd_lint)
+    # No arguments of its own: main() hands everything after `lint` to
+    # repro.lint.cli.main (`repro lint --help` prints reprolint's help).
+    sub.add_parser(
+        "lint", add_help=False,
+        help="run reprolint (REP001-REP011 invariant checks, including "
+             "the cross-module dataflow rules); options as for "
+             "`python -m repro.lint`")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     try:
         return args.func(args)
     except ReproError as exc:

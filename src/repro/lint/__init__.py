@@ -32,8 +32,8 @@ REP011      facade contract: public ``repro.api``/``repro.campaign``
 REP001–REP005 and REP007 are pure functions of one file;
 REP008–REP011 run on the whole-project IR built by
 :mod:`repro.lint.project` and flow values through
-:mod:`repro.lint.dataflow` (incrementally cached with
-``--cache-dir``; SARIF output with ``--format sarif``).
+:mod:`repro.lint.dataflow`.  Every run parses and analyses every
+file; reports are text or the schema-1 JSON (``--format json``).
 
 Suppress a false positive inline, justification mandatory::
 

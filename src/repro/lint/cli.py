@@ -1,7 +1,7 @@
 """Command line front end: ``python -m repro.lint`` / ``repro lint``.
 
 Exit codes: 0 clean, 1 findings, 2 usage error.  JSON output is a
-stable schema (``tests/lint/test_json_output.py`` pins it)::
+stable schema (``tests/lint/test_cli.py::TestJsonSchema`` pins it)::
 
     {
       "version": 1,
@@ -13,11 +13,6 @@ stable schema (``tests/lint/test_json_output.py`` pins it)::
          "col": 4, "message": "..."}
       ]
     }
-
-``--format sarif`` emits SARIF 2.1.0 for GitHub code scanning (see
-:mod:`repro.lint.sarif`).  ``--cache-dir DIR`` enables the
-incremental analysis cache; reports are byte-identical with or
-without it (cache statistics go to stderr, never into the report).
 """
 
 from __future__ import annotations
@@ -30,14 +25,10 @@ from typing import Sequence
 
 from repro.lint.framework import LintReport, run_paths
 from repro.lint.rules import default_rules
-from repro.lint.sarif import report_as_sarif
 
 __all__ = ["main", "report_as_json", "render_text"]
 
 JSON_SCHEMA_VERSION = 1
-
-#: Reported as the SARIF tool version; bumped with the rule set.
-TOOL_VERSION = "2.0.0"
 
 _DEFAULT_PATHS = ("src", "benchmarks")
 
@@ -71,10 +62,6 @@ def _list_rules() -> str:
 def _render(report: LintReport, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report_as_json(report), indent=2)
-    if fmt == "sarif":
-        return json.dumps(
-            report_as_sarif(report, default_rules(), TOOL_VERSION),
-            indent=2)
     return render_text(report)
 
 
@@ -91,17 +78,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         "paths", nargs="*", default=list(_DEFAULT_PATHS),
         help="files or directories to lint (default: src benchmarks)")
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
+        "--format", choices=("text", "json"), default="text",
         help="output format (default: text)")
     parser.add_argument(
         "--output", default=None,
         help="write the report to this file (in --format) and print "
              "only the one-line summary to stdout")
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="incremental analysis cache directory; unchanged files "
-             "are served from it (stats go to stderr, the report is "
-             "byte-identical either way)")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the registered rules and exit")
@@ -117,13 +99,7 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    report = run_paths(args.paths, default_rules(),
-                       cache_dir=args.cache_dir)
-    if args.cache_dir is not None:
-        print(f"repro.lint: cache {args.cache_dir}: "
-              f"{report.files_reused} reused, "
-              f"{report.files_analyzed} analyzed",
-              file=sys.stderr)
+    report = run_paths(args.paths, default_rules())
     if args.output is not None:
         rendered = _render(report, args.format)
         Path(args.output).write_text(rendered + "\n", encoding="utf-8")

@@ -23,11 +23,9 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro.lint.cache import AnalysisCache, file_digest
-from repro.lint.project import (IR_VERSION, ModuleSummary, Project,
-                                summarize_module)
+from repro.lint.project import ModuleSummary, Project, summarize_module
 from repro.lint.suppress import SuppressionTable, parse_suppressions
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "iter_python_files",
     "lint_file",
     "run_paths",
-    "cache_signature",
 ]
 
 #: Rule id used for meta problems (bad suppressions, parse errors).
@@ -148,10 +145,6 @@ class LintReport:
     violations: list[Violation] = field(default_factory=list)
     suppressed: int = 0
     files: int = 0
-    #: Incremental-cache accounting (never part of the JSON payload —
-    #: reports must be byte-identical cold vs. warm).
-    files_analyzed: int = 0
-    files_reused: int = 0
 
     @property
     def by_rule(self) -> dict[str, int]:
@@ -243,70 +236,21 @@ def lint_file(path: Path, rules: Sequence[Rule],
     return violations, suppressed
 
 
-def cache_signature(rules: Sequence[Rule]) -> str:
-    """Global analysis-cache key: invalidates on any linter change."""
-    ids = ",".join(sorted(rule.rule_id for rule in rules))
-    return f"ir={IR_VERSION};rules={ids}"
-
-
-def _entry_from_analysis(digest: str, violations: list[Violation],
-                         suppressed: int,
-                         table: SuppressionTable | None,
-                         summary: ModuleSummary | None,
-                         ) -> dict[str, Any]:
-    return {
-        "digest": digest,
-        "violations": [v.as_json() for v in violations],
-        "suppressed": suppressed,
-        "suppress_lines": ({str(line): sorted(ids) for line, ids
-                            in table.by_line.items()}
-                           if table is not None else None),
-        "summary": summary.as_json() if summary is not None else None,
-    }
-
-
-def _entry_decode(entry: dict[str, Any],
-                  ) -> tuple[list[Violation], int,
-                             SuppressionTable | None,
-                             ModuleSummary | None]:
-    violations = [
-        Violation(path=str(v["path"]), line=int(v["line"]),
-                  col=int(v["col"]), rule=str(v["rule"]),
-                  message=str(v["message"]))
-        for v in entry["violations"]
-    ]
-    table: SuppressionTable | None = None
-    if entry["suppress_lines"] is not None:
-        table = SuppressionTable(by_line={
-            int(line): set(ids)
-            for line, ids in entry["suppress_lines"].items()})
-    summary = (ModuleSummary.from_json(entry["summary"])
-               if entry["summary"] is not None else None)
-    return violations, int(entry["suppressed"]), table, summary
-
-
 def run_paths(paths: Sequence[str | Path], rules: Sequence[Rule],
-              root: Path | None = None,
-              cache_dir: str | Path | None = None) -> LintReport:
+              root: Path | None = None) -> LintReport:
     """Lint every Python file beneath ``paths`` with ``rules``.
 
-    Two stages: the per-file stage (file rules + module summaries,
-    served from the incremental cache when ``cache_dir`` is given and
-    the file's digest is unchanged) and the project stage
-    (:class:`ProjectRule` over the assembled summaries, recomputed
-    every run so editing one module re-checks its dependents).
+    Two stages: the per-file stage (file rules + module summaries)
+    and the project stage (:class:`ProjectRule` over the assembled
+    summaries).
     """
     report = LintReport()
     file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    cache: AnalysisCache | None = None
-    if cache_dir is not None:
-        cache = AnalysisCache.load(cache_dir, cache_signature(rules))
 
     summaries: list[ModuleSummary] = []
     tables: dict[str, SuppressionTable] = {}
     seen: set[Path] = set()
-    live: set[str] = set()
     for path in iter_python_files(paths, root=root):
         resolved = path.resolve()
         if resolved in seen:
@@ -314,21 +258,9 @@ def run_paths(paths: Sequence[str | Path], rules: Sequence[Rule],
         seen.add(resolved)
         report.files += 1
         display = _display_path(path, root)
-        live.add(display)
-        data = path.read_bytes()
-        digest = file_digest(data)
-        entry = cache.get(display, digest) if cache is not None else None
-        if entry is not None:
-            violations, suppressed, table, summary = _entry_decode(entry)
-            report.files_reused += 1
-        else:
-            source = data.decode("utf-8")
-            violations, suppressed, table, summary = _analyze_source(
-                path, display, source, file_rules)
-            report.files_analyzed += 1
-            if cache is not None:
-                cache.put(display, _entry_from_analysis(
-                    digest, violations, suppressed, table, summary))
+        source = path.read_bytes().decode("utf-8")
+        violations, suppressed, table, summary = _analyze_source(
+            path, display, source, file_rules)
         report.violations.extend(violations)
         report.suppressed += suppressed
         if table is not None:
@@ -346,9 +278,6 @@ def run_paths(paths: Sequence[str | Path], rules: Sequence[Rule],
             else:
                 report.violations.append(violation)
 
-    if cache is not None:
-        cache.prune(live)
-        cache.save()
     report.violations.sort()
     return report
 

@@ -10,13 +10,10 @@ them.  This module builds that model in two stages:
    :class:`ModuleSummary` — imports resolved to dotted targets,
    module-level literal constants, and one :class:`FunctionInfo` per
    function (methods and nested functions included).  Each function
-   carries a small serializable IR: an ordered list of ops
-   (assignments, returns, loop bindings, bare expressions) whose
-   expressions record the names they read, the calls they make and a
-   few structural flags.  The summary is a pure function of the file's
-   source, which is what makes the incremental cache
-   (:mod:`repro.lint.cache`) sound: it is keyed by the file's content
-   digest alone.
+   carries a small IR: an ordered list of ops (assignments, returns,
+   loop bindings, bare expressions) whose expressions record the
+   names they read, the calls they make and a few structural flags.
+   The summary is a pure function of the file's source.
 2. :class:`Project` assembles the summaries, resolves dotted call
    references against imports and symbol tables, and answers the
    queries the dataflow pass (:mod:`repro.lint.dataflow`) and the
@@ -41,17 +38,12 @@ __all__ = [
     "CallIR",
     "ExprIR",
     "FunctionInfo",
-    "IR_VERSION",
     "ModuleSummary",
     "Project",
     "ResourceEvent",
     "module_name_for",
     "summarize_module",
 ]
-
-#: Bumped whenever the lowering changes shape; part of the analysis
-#: cache signature so stale summaries are never deserialized.
-IR_VERSION = 2
 
 #: Methods whose call on a resource variable counts as releasing it.
 _CLEANUP_METHODS = frozenset((
@@ -80,7 +72,7 @@ def module_name_for(posix_path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# IR dataclasses (all JSON-serializable through as_json/from_json)
+# IR dataclasses
 # ---------------------------------------------------------------------------
 
 
@@ -94,23 +86,6 @@ class ExprIR:
     isset: bool = False
     line: int = 0
     col: int = 0
-
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "n": list(self.names),
-            "c": [c.as_json() for c in self.calls],
-            "b": self.binop,
-            "s": self.isset,
-            "l": self.line,
-            "o": self.col,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ExprIR":
-        return cls(names=tuple(data["n"]),
-                   calls=tuple(CallIR.from_json(c) for c in data["c"]),
-                   binop=data["b"], isset=data["s"],
-                   line=data["l"], col=data["o"])
 
 
 @dataclass(frozen=True)
@@ -129,28 +104,6 @@ class CallIR:
     line: int = 0
     col: int = 0
 
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "r": self.ref,
-            "a": [a.as_json() for a in self.args],
-            "k": [[name, expr.as_json()] for name, expr in self.keywords],
-            "v": self.recv.as_json() if self.recv is not None else None,
-            "cw": self.create_kw,
-            "l": self.line,
-            "o": self.col,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "CallIR":
-        return cls(
-            ref=data["r"],
-            args=tuple(ExprIR.from_json(a) for a in data["a"]),
-            keywords=tuple((name, ExprIR.from_json(expr))
-                           for name, expr in data["k"]),
-            recv=(ExprIR.from_json(data["v"])
-                  if data["v"] is not None else None),
-            create_kw=data["cw"], line=data["l"], col=data["o"])
-
 
 @dataclass(frozen=True)
 class ResourceEvent:
@@ -167,23 +120,6 @@ class ResourceEvent:
     cleanup_protected: bool
     returned: bool
     stored_self: bool
-
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "var": self.var, "ref": self.ref, "cw": self.create_kw,
-            "l": self.line, "o": self.col, "w": self.in_with,
-            "ra": self.risky_after, "ca": self.cleanup_any,
-            "cp": self.cleanup_protected, "rt": self.returned,
-            "ss": self.stored_self,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ResourceEvent":
-        return cls(var=data["var"], ref=data["ref"], create_kw=data["cw"],
-                   line=data["l"], col=data["o"], in_with=data["w"],
-                   risky_after=data["ra"], cleanup_any=data["ca"],
-                   cleanup_protected=data["cp"], returned=data["rt"],
-                   stored_self=data["ss"])
 
 
 @dataclass
@@ -211,36 +147,6 @@ class FunctionInfo:
     #: Parameter names (plus "return") lacking annotations.
     missing_annotations: tuple[str, ...] = ()
 
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name, "qual": self.qualname, "cls": self.cls,
-            "params": list(self.params), "l": self.line, "o": self.col,
-            "ops": [[kind, list(targets), expr.as_json()]
-                    for kind, targets, expr in self.ops],
-            "locals": dict(self.local_funcs),
-            "retrefs": [[ref, create] for ref, create
-                        in self.return_call_refs],
-            "res": [event.as_json() for event in self.resources],
-            "pub": self.is_public,
-            "missann": list(self.missing_annotations),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "FunctionInfo":
-        info = cls(name=data["name"], qualname=data["qual"],
-                   cls=data["cls"], params=tuple(data["params"]),
-                   line=data["l"], col=data["o"])
-        info.ops = [(kind, tuple(targets), ExprIR.from_json(expr))
-                    for kind, targets, expr in data["ops"]]
-        info.local_funcs = dict(data["locals"])
-        info.return_call_refs = tuple((str(ref), bool(create))
-                                      for ref, create in data["retrefs"])
-        info.resources = tuple(ResourceEvent.from_json(event)
-                               for event in data["res"])
-        info.is_public = data["pub"]
-        info.missing_annotations = tuple(data["missann"])
-        return info
-
 
 @dataclass
 class ModuleSummary:
@@ -262,43 +168,6 @@ class ModuleSummary:
     #: fields — the facade-contract rule flags them on record classes.
     class_plain_fields: dict[str, tuple[tuple[str, int], ...]] = field(
         default_factory=dict)
-
-    def as_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "path": self.path,
-            "imports": dict(sorted(self.imports.items())),
-            "deps": sorted(self.deps),
-            "constants": {k: self.constants[k]
-                          for k in sorted(self.constants)},
-            "constant_lines": {k: self.constant_lines[k]
-                               for k in sorted(self.constant_lines)},
-            "functions": {qual: info.as_json()
-                          for qual, info in sorted(self.functions.items())},
-            "class_fields": {name: list(fields) for name, fields in
-                             sorted(self.class_fields.items())},
-            "class_plain_fields": {
-                name: [[fname, line] for fname, line in fields]
-                for name, fields in
-                sorted(self.class_plain_fields.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict[str, Any]) -> "ModuleSummary":
-        summary = cls(name=data["name"], path=data["path"])
-        summary.imports = dict(data["imports"])
-        summary.deps = tuple(data["deps"])
-        summary.constants = dict(data["constants"])
-        summary.constant_lines = {name: int(line) for name, line
-                                  in data["constant_lines"].items()}
-        summary.functions = {qual: FunctionInfo.from_json(info)
-                             for qual, info in data["functions"].items()}
-        summary.class_fields = {name: tuple(fields) for name, fields in
-                                data["class_fields"].items()}
-        summary.class_plain_fields = {
-            name: tuple((str(fname), int(line)) for fname, line in fields)
-            for name, fields in data["class_plain_fields"].items()}
-        return summary
 
 
 # ---------------------------------------------------------------------------
@@ -659,21 +528,6 @@ def _module_imports(tree: ast.Module, module_name: str, is_package: bool,
     return imports, expanded
 
 
-def _jsonable_const(value: Any) -> Any:
-    """The JSON-safe form of a literal constant, or raise TypeError.
-
-    The summaries round-trip through the on-disk cache as JSON, so
-    only JSON-representable constants are kept (set/bytes literals
-    like rule tables are dropped); tuples canonicalize to lists so
-    cold and warm runs see identical values.
-    """
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    if isinstance(value, (tuple, list)):
-        return [_jsonable_const(item) for item in value]
-    raise TypeError(type(value).__name__)
-
-
 def _module_constants(tree: ast.Module,
                       ) -> tuple[dict[str, Any], dict[str, int]]:
     """Module-level literal constants (``GRID_AXES``-style tuples)."""
@@ -689,8 +543,7 @@ def _module_constants(tree: ast.Module,
         if not isinstance(target, ast.Name) or value is None:
             continue
         try:
-            constants[target.id] = _jsonable_const(
-                ast.literal_eval(value))
+            constants[target.id] = ast.literal_eval(value)
         except (ValueError, TypeError, SyntaxError, MemoryError):
             continue
         lines[target.id] = stmt.lineno

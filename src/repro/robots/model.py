@@ -156,10 +156,17 @@ class BatchView:
     frame), so obliviousness is a proof obligation on the
     implementation rather than on the interface: each returned row
     must equal what the per-robot callable computes from row ``i``
-    alone.  The provided algorithms discharge it by deriving every
-    class-level decision through the congruence-keyed round cache —
-    the same payloads the per-robot path reads — and the equivalence
-    suite enforces it.
+    alone.  The provided algorithms discharge it in two ways.
+    ``ψ_SYM``'s symmetry-breaking moves and plane formation derive
+    their class-level decisions once from the world configuration:
+    the predicates are similarity-invariant and the landing points
+    equivariant, so each robot gets what its own view yields, and a
+    ``ψ_SYM`` mover makes its local choice with the function the
+    per-robot path calls.
+    ``ordered_orbits``, the standalone go-to-center algorithm's face
+    combinatorics and ``ψ_PF``'s predicates and destinations still go
+    through the congruence-keyed round cache, reading the payloads
+    the per-robot path reads.  The equivalence suite enforces both.
     """
 
     __slots__ = ("points", "local", "rotations", "scales", "target",

@@ -17,9 +17,9 @@ The Compute phase has two execution strategies.  When the algorithm
 implements :class:`repro.robots.model.BatchedAlgorithm` (a
 ``compute_batch`` method) the whole round is computed in one call over
 the ``(n, n, 3)`` local-view tensor.  Otherwise — or when the batched
-method declines, or batching is disabled via ``set_batched_compute`` /
-``REPRO_BATCHED_COMPUTE=0`` — the per-robot reference loop runs, and
-the ``scheduler.batched_fallbacks`` counter records it.  Either way
+method declines, or batching is disabled via ``batched=False`` or
+``set_batched_compute(False)`` — the per-robot reference loop runs,
+and the ``scheduler.batched_fallbacks`` counter records it.  Either way
 the local destinations are mapped to world coordinates by a single
 batched ``to_world`` einsum and the Move phase applies them through
 ``movement.execute_batch`` in one shot.
@@ -27,7 +27,6 @@ batched ``to_world`` einsum and the Move phase applies them through
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,15 +43,15 @@ __all__ = ["ExecutionResult", "FsyncScheduler", "batched_compute_enabled",
            "set_batched_compute"]
 
 
-_BATCHED_COMPUTE = os.environ.get("REPRO_BATCHED_COMPUTE", "1") != "0"
+_BATCHED_COMPUTE = True
 
 
 def set_batched_compute(enabled: bool) -> None:
     """Process-wide default for the batched Compute strategy.
 
     The per-robot path is the reference implementation; forcing it
-    (``set_batched_compute(False)`` or ``REPRO_BATCHED_COMPUTE=0``)
-    must not change any row — the equivalence suite runs both ways.
+    with ``set_batched_compute(False)`` must not change any row — the
+    equivalence suite runs both ways.
     """
     global _BATCHED_COMPUTE
     _BATCHED_COMPUTE = bool(enabled)

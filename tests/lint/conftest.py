@@ -27,16 +27,13 @@ def lint_source(tmp_path):
 def lint_tree(tmp_path):
     """Write a ``{rel_path: source}`` tree and run the full driver on
     it — file rules *and* the cross-module project rules.  Returns the
-    :class:`~repro.lint.framework.LintReport`; pass ``cache_dir`` to
-    exercise the incremental cache."""
-    def _lint(files, cache_dir=None, rules=None):
+    :class:`~repro.lint.framework.LintReport`."""
+    def _lint(files):
         for rel_path, source in files.items():
             path = tmp_path / rel_path
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(textwrap.dedent(source), encoding="utf-8")
-        return run_paths([tmp_path], default_rules() if rules is None
-                         else rules, root=tmp_path,
-                         cache_dir=cache_dir)
+        return run_paths([tmp_path], default_rules(), root=tmp_path)
     return _lint
 
 

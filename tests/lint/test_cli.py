@@ -94,11 +94,22 @@ class TestRepositoryIsClean:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_repro_cli_lint_subcommand(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "lint", "--list-rules"],
-            cwd=REPO_ROOT, capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": ""},
-        )
+    def test_repro_cli_lint_subcommand(self, tmp_path):
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", *args], cwd=REPO_ROOT,
+                capture_output=True, text=True,
+                env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": ""},
+            )
+
+        proc = run("repro.cli", "lint", "--list-rules")
         assert proc.returncode == 0
         assert "REP001" in proc.stdout
+
+        write(tmp_path, "pkg/bad.py", "EPS = 1e-6\n")
+        target = str(tmp_path / "pkg")
+        via_cli = run("repro.cli", "lint", target, "--format", "json")
+        direct = run("repro.lint", target, "--format", "json")
+        assert via_cli.returncode == direct.returncode == 1
+        assert via_cli.stdout == direct.stdout
+        assert json.loads(direct.stdout)["by_rule"] == {"REP001": 1}

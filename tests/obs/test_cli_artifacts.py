@@ -68,6 +68,14 @@ class TestFormArtifacts:
         err = capsys.readouterr().err
         assert "cache hierarchy:" in err
 
+    def test_form_has_no_jobs_flag(self):
+        # A formation is one FSYNC execution: there is nothing to fan out.
+        import pytest
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["form", "cube", "octagon", "--jobs", "2"])
+        assert exc.value.code == 2
+
 
 class TestHelp:
     def test_exit_codes_documented(self, capsys):
