@@ -134,7 +134,7 @@ def test_epsilon_ablation(benchmark):
             frames = random_frames(8, np.random.default_rng(7))
             scheduler = FsyncScheduler(
                 go_to_center.go_to_center_algorithm, frames)
-            after = Configuration(scheduler.step(points))
+            after = Configuration(scheduler.step(Configuration(points)))
             spec = after.symmetry.spec
             results.append({"epsilon_fraction": fraction,
                             "gamma_after": str(spec),
@@ -215,11 +215,11 @@ def test_swarm_round_scaling(benchmark, n):
     from repro.robots.adversary import identity_frames
 
     rng = np.random.default_rng(n)
-    points = [rng.normal(size=3) for _ in range(n)]
+    config = Configuration([rng.normal(size=3) for _ in range(n)])
 
     scheduler = FsyncScheduler(_SwarmContract(), identity_frames(n))
     destinations = benchmark.pedantic(
-        scheduler.step, args=(points,), rounds=3, iterations=1,
+        scheduler.step, args=(config,), rounds=3, iterations=1,
         warmup_rounds=1)
     assert len(destinations) == n
 
@@ -229,13 +229,17 @@ def test_swarm_round_fallback_scaling(benchmark, n):
     """The same round through the per-robot reference loop (one
     ``Observation`` per robot): the cost the batched engine removes."""
     from repro.robots.adversary import identity_frames
+    from repro.robots.scheduler import set_batched_compute
 
     rng = np.random.default_rng(n)
-    points = [rng.normal(size=3) for _ in range(n)]
+    config = Configuration([rng.normal(size=3) for _ in range(n)])
 
-    scheduler = FsyncScheduler(_SwarmContract(), identity_frames(n),
-                               batched=False)
-    destinations = benchmark.pedantic(
-        scheduler.step, args=(points,), rounds=3, iterations=1,
-        warmup_rounds=1)
+    scheduler = FsyncScheduler(_SwarmContract(), identity_frames(n))
+    set_batched_compute(False)
+    try:
+        destinations = benchmark.pedantic(
+            scheduler.step, args=(config,), rounds=3, iterations=1,
+            warmup_rounds=1)
+    finally:
+        set_batched_compute(True)
     assert len(destinations) == n

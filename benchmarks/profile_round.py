@@ -42,28 +42,33 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro import perf
+    from repro.core.configuration import Configuration
     from repro.patterns.polyhedra import regular_polygon_pattern
     from repro.robots.adversary import random_frames
     from repro.robots.algorithms.pattern_formation import (
         make_pattern_formation_algorithm,
     )
-    from repro.robots.scheduler import FsyncScheduler
+    from repro.robots.scheduler import FsyncScheduler, set_batched_compute
 
     rng = np.random.default_rng(args.n)
     points = [rng.normal(size=3) for _ in range(args.n)]
     target = regular_polygon_pattern(args.n)
     scheduler = FsyncScheduler(make_pattern_formation_algorithm(target),
-                               random_frames(args.n, rng), target=target,
-                               batched=not args.per_robot)
-    scheduler.step(points)  # warmup: first-touch allocation, BLAS init
+                               random_frames(args.n, rng), target=target)
+    set_batched_compute(not args.per_robot)
+    # warmup: first-touch allocation, BLAS init
+    scheduler.step(Configuration(points))
     perf.clear_caches()
+    # A fresh P(t), so the profiled round memoizes nothing from the
+    # warmup.
+    config = Configuration(points)
 
     engine = "per-robot reference" if args.per_robot else "batched"
     print(f"one {engine} psi_PF round at n={args.n} into a regular "
           f"{args.n}-gon, top {args.top} by cumulative time:")
     profiler = cProfile.Profile()
     profiler.enable()
-    scheduler.step(points)
+    scheduler.step(config)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(args.top)

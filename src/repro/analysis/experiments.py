@@ -60,7 +60,7 @@ def _lemma7_trial(payload):
     points = _points_of(pattern)
     frames = random_frames(len(points), np.random.default_rng(stream))
     scheduler = FsyncScheduler(go_to_center_algorithm, frames)
-    after = Configuration(scheduler.step(points))
+    after = Configuration(scheduler.step(Configuration(points)))
     return after.symmetry.spec
 
 
@@ -299,10 +299,10 @@ def _check_lower_bound(initial: Configuration, f_points, report,
     frames = symmetric_frames(initial, witness, rng)
     algorithm = make_pattern_formation_algorithm(f_points)
     scheduler = FsyncScheduler(algorithm, frames, target=f_points)
-    points = initial.points
+    config = initial
     for _ in range(10):
         try:
-            points = scheduler.step(points)
+            points = scheduler.step(config)
         except Exception:
             return True  # the algorithm rejected the instance: fine
         config = Configuration(points)

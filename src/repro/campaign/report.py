@@ -55,7 +55,7 @@ def generate_report(store: JsonlStore, fmt: str = "markdown") -> str:
     cells = store.cells()
     experiments = sorted({record["experiment"] for record in cells})
     lines = ["# Campaign report", ""]
-    lines.append(f"Store: `{store.path}` ({store.kind}), "
+    lines.append(f"Store: `{store.path}`, "
                  f"{len(cells)} completed cells, "
                  f"{len(experiments)} experiments.")
     lines.append("")

@@ -63,7 +63,6 @@ class CampaignResult:
 
     name: str
     store_path: str
-    store_kind: str
     jobs: int
     cells_total: int
     cells_coalesced: int
@@ -83,8 +82,7 @@ class CampaignResult:
         if self.cells_pending:
             lines.append(f"  pending:   {self.cells_pending} "
                          f"(cell budget hit; re-run to resume)")
-        lines.append(f"  store:     {self.store_path} "
-                     f"({self.store_kind})")
+        lines.append(f"  store:     {self.store_path}")
         lines.append(f"  elapsed:   {self.elapsed_ms:.1f} ms")
         return "\n".join(lines)
 
@@ -170,7 +168,6 @@ def run_campaign(spec: CampaignSpec | str | Path, *, jobs: int = 1,
         return CampaignResult(
             name=spec.name,
             store_path=str(store.path),
-            store_kind=store.kind,
             jobs=jobs,
             cells_total=len(spec.cells),
             cells_coalesced=coalesced,

@@ -58,13 +58,10 @@ def open_store(path: str | Path | None = None,
                must_exist: bool = False) -> "JsonlStore":
     """Open (creating if needed) the results store at ``path``.
 
-    JSONL is the one on-disk format: a ``.duckdb`` path opens its
-    ``.jsonl`` sibling.  With ``must_exist`` a missing store raises
-    :class:`ReproError` instead of being created.
+    With ``must_exist`` a missing store raises :class:`ReproError`
+    instead of being created.
     """
     path = default_store_path() if path is None else Path(path)
-    if path.suffix == ".duckdb":
-        path = path.with_suffix(".jsonl")
     if must_exist:
         if not path.exists():
             raise ReproError(f"no campaign store at {path} (run "
@@ -115,8 +112,6 @@ class JsonlStore:
     completed cell — crash-interrupted campaigns resume from the last
     fully recorded cell.  The journal is a sibling append-only file.
     """
-
-    kind = "jsonl"
 
     def __init__(self, path: Path) -> None:
         self.path = Path(path)

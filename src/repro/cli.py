@@ -100,9 +100,8 @@ def _emit_cache_stats() -> None:
     """The one ``--cache-stats`` renderer: L1/L2/L3, sorted, stderr.
 
     Every command routes through :func:`repro.obs.metrics.
-    render_cache_metrics`, so the CLI can never show cache numbers
-    that disagree with ``ExecutionResult.cache_stats`` (both read the
-    same counters).
+    render_cache_metrics`, so every command shows the same counters in
+    the same format.
     """
     from repro.obs.metrics import render_cache_metrics
 
@@ -135,14 +134,15 @@ def _cmd_form(args) -> int:
     if args.trace:
         print(render_phase_totals(tracer.phase_totals()), file=sys.stderr)
     print(f"formed: {result.reached} in {result.rounds} rounds")
-    for t, config in enumerate(result.configurations):
+    configurations = result.configurations
+    for t, config in enumerate(configurations):
         report = config.symmetry
         spec = report.spec if report.kind == "finite" else report.kind
         print(f"  round {t}: gamma = {spec}")
     if args.svg:
         from repro.viz import render_execution_svg
 
-        render_execution_svg(result.configurations, args.svg,
+        render_execution_svg(configurations, args.svg,
                              target=target)
         print(f"execution rendered to {args.svg}")
     if args.metrics:
@@ -308,7 +308,7 @@ def _cmd_campaign(args) -> int:
             for record in cells:
                 name = record["experiment"]
                 by_experiment[name] = by_experiment.get(name, 0) + 1
-            print(f"campaign store {store.path} ({store.kind}): "
+            print(f"campaign store {store.path}: "
                   f"{len(cells)} completed cells")
             for name, count in sorted(by_experiment.items()):
                 print(f"  {name:20s} {count} cells")
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--store", metavar="PATH",
         help="results store path (default: .repro-campaign/"
-             "results.jsonl; a .duckdb path opens its .jsonl sibling)")
+             "results.jsonl)")
     campaign.add_argument(
         "--max-cells", type=int, default=None,
         help="execute at most this many cells this invocation "

@@ -17,10 +17,7 @@ The three-level cache hierarchy keeps its own counters
 flattens them into the same ``name -> value`` namespace
 (``cache.l1.symmetry.hits``, ``cache.l2.misses``, ...), and
 :func:`render_cache_metrics` is the one renderer behind every
-``--cache-stats`` flag — the CLI and
-:class:`repro.robots.scheduler.ExecutionResult` both read the L1
-counters through :func:`l1_snapshot`/:func:`l1_delta`, so their
-numbers can never disagree.
+``--cache-stats`` flag.
 
 The kernels' neighbour index (:mod:`repro.geometry.neighbors`)
 counts its k-d trees on ``backend.neighbor_index.kd``.  That is a
@@ -269,9 +266,8 @@ def backend_metrics() -> dict[str, int]:
 def l1_snapshot() -> dict[str, dict[str, int]]:
     """Nested integer counters of the L1 congruence/round caches.
 
-    The one source behind both ``ExecutionResult.cache_stats`` and
-    the flat ``cache.l1.*`` metric names, so the scheduler's per-run
-    deltas and the CLI's ``--cache-stats`` render always agree.
+    :func:`l1_delta` of two snapshots is the L1 activity of the code
+    run between them.
     """
     from repro.perf import cache_stats
 

@@ -94,7 +94,7 @@ class _PlaneFormation:
         return _landing_destinations(config)[observation.self_index]
 
     def compute_batch(self, batch) -> np.ndarray:
-        config = batch.configuration()
+        config = batch.config
         if is_coplanar(config.points):
             return batch.own_rows()
         if not is_sym_terminal(config):

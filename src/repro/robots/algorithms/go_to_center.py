@@ -71,9 +71,12 @@ def recognize_goc_polyhedron(points) -> str | None:
 
     Checks vertex count, sphericity, transitivity (all vertices on one
     hull orbit follows from the shape group match), and the rotation
-    group of the shape.
+    group of the shape.  ``points`` may be the
+    :class:`Configuration` already built for them; its ball and
+    symmetry report are then reused.
     """
-    cfg = Configuration(points)
+    cfg = points if isinstance(points, Configuration) \
+        else Configuration(points)
     count = cfg.n
     candidates = [name for (k, _), name in _GOC_SHAPES.items() if k == count]
     if not candidates:
@@ -192,7 +195,7 @@ class _GoToCenter:
         radius = float(config.radius)
         info = cached_invariant(
             view, ("goc",),
-            lambda: _goc_round_info(observation.points, radius))
+            lambda: _goc_round_info(config, radius))
         if info is None:
             return observation.own_position()
         _, admissible, ratio = info
@@ -205,12 +208,12 @@ class _GoToCenter:
     def compute_batch(self, batch) -> np.ndarray:
         from repro.perf import cached_invariant, round_view
 
-        config = batch.configuration()
+        config = batch.config
         view = round_view(config)
         radius = float(config.radius)
         info = cached_invariant(
             view, ("goc",),
-            lambda: _goc_round_info(config.points, radius))
+            lambda: _goc_round_info(config, radius))
         if info is None:
             return batch.own_rows()
         _, admissible, ratio = info

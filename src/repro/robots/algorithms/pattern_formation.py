@@ -90,7 +90,7 @@ class _PatternFormation:
 
     def compute_batch(self, batch) -> np.ndarray:
         target = self._target(batch.target)
-        config = batch.configuration()
+        config = batch.config
 
         from repro.perf import (cached_equivariant_points, cached_invariant,
                                 round_view)

@@ -100,7 +100,7 @@ class _PsiSym:
         return observation.own_position() if move is None else move
 
     def compute_batch(self, batch) -> np.ndarray:
-        config = batch.configuration()
+        config = batch.config
         report = config.symmetry
         destinations = np.array(batch.own_rows(), dtype=float)
         if report.kind == "degenerate":
@@ -145,7 +145,10 @@ class _PsiSym:
         def center_rows(selected, movers) -> None:
             if not movers:
                 return
-            info = _goc_round_info(world[selected], 1.0)
+            # An orbit that is all of P is the round's configuration.
+            orbit = config if selected == list(range(batch.n)) \
+                else world[selected]
+            info = _goc_round_info(orbit, 1.0)
             if info is None:
                 raise GeometryError(
                     "go-to-center applies only to the seven transitive "

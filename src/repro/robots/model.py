@@ -16,11 +16,12 @@ commutes with similarity transforms of everything.
 
 Algorithms may additionally implement the :class:`BatchedAlgorithm`
 protocol — a ``compute_batch(batch)`` method over the whole round's
-:class:`BatchView` — and the scheduler will prefer it.  Batching is a
-pure execution strategy: the batched method must land every robot on
-the destination the per-robot callable would have chosen (the
-per-robot path stays as the reference fallback, and the equivalence
-suite in ``tests/properties`` holds the two together).
+:class:`BatchView` — and the scheduler then calls it once per round.
+Batching is a pure execution strategy: the batched method must land
+every robot on the destination the per-robot callable would have
+chosen.  The per-robot callable stays as the reference engine
+(``repro.robots.scheduler.set_batched_compute(False)`` forces it), and
+the equivalence suite in ``tests/properties`` holds the two together.
 """
 
 from __future__ import annotations
@@ -147,8 +148,12 @@ class Observation:
 class BatchView:
     """Whole-round Compute input for a :class:`BatchedAlgorithm`.
 
-    Bundles the batched Look products the scheduler already has: the
-    world positions, the full ``(n, n, 3)`` local-view tensor (row
+    Bundles what the scheduler already has for the round: ``config``,
+    the round's world-frame
+    :class:`~repro.core.configuration.Configuration` (the one object
+    the scheduler built for ``P(t)``, so its ball, symmetry report and
+    memos are shared with the stop condition), its positions as an
+    ``(n, 3)`` array, the full ``(n, n, 3)`` local-view tensor (row
     ``i`` is exactly robot ``i``'s :class:`Observation` points), and
     the stacked frames.  All arrays are read-only.
 
@@ -169,36 +174,23 @@ class BatchView:
     the per-robot path reads.  The equivalence suite enforces both.
     """
 
-    __slots__ = ("points", "local", "rotations", "scales", "target",
-                 "_config")
+    __slots__ = ("config", "points", "local", "rotations", "scales",
+                 "target")
 
-    def __init__(self, points: np.ndarray, local: np.ndarray,
+    def __init__(self, config, points: np.ndarray, local: np.ndarray,
                  rotations: np.ndarray, scales: np.ndarray,
                  target=None) -> None:
+        self.config = config
         self.points = points
         self.local = local
         self.rotations = rotations
         self.scales = scales
         self.target = target
-        self._config = None
 
     @property
     def n(self) -> int:
         """Number of robots in the round."""
         return len(self.points)
-
-    def configuration(self):
-        """The world-frame :class:`Configuration`, built once on demand."""
-        if self._config is None:
-            from repro.core.configuration import Configuration
-
-            self._config = Configuration(self.points)
-        return self._config
-
-    def observation(self, index: int) -> Observation:
-        """Robot ``index``'s per-robot view (zero-copy tensor row)."""
-        return Observation.from_rows(self.local[index], index,
-                                     target=self.target)
 
     def own_rows(self) -> np.ndarray:
         """Each robot's own local position — the ``(n, 3)`` stay move.
@@ -237,15 +229,15 @@ class BatchedAlgorithm(Protocol):
     """An algorithm that can compute a whole round in one shot.
 
     ``compute_batch`` receives the round's :class:`BatchView` and
-    returns the ``(n, 3)`` *local* destinations (one row per robot, in
+    returns the ``(n, 3)`` *local* destinations: one row per robot, in
     that robot's own frame — the same contract as the per-robot
-    callable, stacked), or ``None`` to decline the round and fall back
-    to the per-robot path.
+    callable, stacked.  It always answers; the per-robot ``__call__``
+    runs only when the reference engine is forced.
     """
 
     def __call__(self, observation: Observation) -> np.ndarray: ...
 
-    def compute_batch(self, batch: BatchView) -> np.ndarray | None: ...
+    def compute_batch(self, batch: BatchView) -> np.ndarray: ...
 
 
 def OBLIVIOUS_STAY(observation: Observation) -> np.ndarray:

@@ -10,6 +10,8 @@ closer than ``δ`` to their destination do reach it).
 The scheduler takes a movement model so the rigidity assumption can be
 ablated: the paper's algorithms are correct for rigid movement, and
 the benchmarks show which behaviours survive a non-rigid adversary.
+Its Move phase makes one ``execute_batch`` call per round; ``execute``
+is the one-robot form that the batch must stack.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ __all__ = ["MovementModel", "RigidMovement", "NonRigidMovement"]
 
 
 class MovementModel(Protocol):
-    """Maps an intended move to the position actually reached."""
+    """Maps an intended move to the position actually reached.
+
+    A model provides both methods; the scheduler calls only
+    ``execute_batch``.
+    """
 
     def execute(self, start: np.ndarray,
                 destination: np.ndarray) -> np.ndarray:
@@ -37,8 +43,6 @@ class MovementModel(Protocol):
 
         Must equal stacking ``execute`` row by row (in index order —
         adversarial models consume their random stream per robot).
-        The scheduler falls back to the per-robot ``execute`` loop for
-        models that do not provide it.
         """
         ...
 

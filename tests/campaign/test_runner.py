@@ -54,7 +54,6 @@ class TestInline:
         assert result.cells_skipped == 0
         assert result.cells_coalesced == 0
         assert result.cells_pending == 0
-        assert result.store_kind == "jsonl"
         rendered = result.render()
         assert "executed:  3" in rendered
 

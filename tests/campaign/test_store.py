@@ -28,7 +28,6 @@ class TestJsonlStore:
     def test_record_and_reopen(self, tmp_path):
         path = tmp_path / "r.jsonl"
         with open_store(path) as store:
-            assert store.kind == "jsonl"
             store.record_cell(_record("b" * 64))
             store.record_cell(_record("a" * 64, "baseline_2d"))
         with open_store(path) as store:
@@ -96,14 +95,6 @@ class TestJsonlStore:
                         encoding="utf-8")
         with pytest.raises(ReproError, match="schema 1"):
             open_store(path)
-
-    def test_duckdb_path_degrades_without_extra(self, tmp_path):
-        store = open_store(tmp_path / "results.duckdb")
-        try:
-            assert store.kind == "jsonl"
-            assert store.path.suffix == ".jsonl"
-        finally:
-            store.close()
 
     def test_default_path_is_jsonl(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path))

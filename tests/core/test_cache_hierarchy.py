@@ -109,14 +109,39 @@ def _detect_spec(points):
     return str(config.rotation_group.spec)
 
 
+# A two-party barrier, set before the pool forks its workers.
+_PAIRS = None
+
+
+def _detect_spec_in_pairs(points):
+    """:func:`_detect_spec`, then wait until another worker ends a task."""
+    spec = _detect_spec(points)
+    _PAIRS.wait(timeout=60)
+    return spec
+
+
 class TestL2AcrossWorkers:
     def test_cross_worker_hits_in_a_four_worker_run(self):
         """Identical world configurations in different workers must be
         served from the shared store — the counters prove the sharing
-        actually happened (not just that results agree)."""
+        actually happened (not just that results agree).
+
+        Left alone, all four workers can miss the cube before any of
+        them publishes it, and the publisher, now served by its own
+        entry, can run the other eight tasks alone.  So every task
+        ends at a two-party barrier: tasks finish in pairs of distinct
+        workers, and the publisher runs at most six of the twelve.
+        The others run at least six, at most three of them among the
+        first four, which start before anything is published; each
+        later one looks up the publisher's entry: a remote hit."""
+        global _PAIRS
         before = l2_stats()
         cube = np.asarray(named_pattern("cube"))
-        specs = parallel_map(_detect_spec, [cube] * 12, jobs=4)
+        _PAIRS = multiprocessing.get_context().Barrier(2)
+        try:
+            specs = parallel_map(_detect_spec_in_pairs, [cube] * 12, jobs=4)
+        finally:
+            _PAIRS = None
         assert specs == ["O"] * 12
         after = l2_stats()
         assert after["remote_hits"] - before["remote_hits"] > 0

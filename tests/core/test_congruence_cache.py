@@ -13,7 +13,7 @@ from repro.robots.adversary import random_frames
 from repro.robots.algorithms.pattern_formation import (
     make_pattern_formation_algorithm,
 )
-from repro.robots.scheduler import FsyncScheduler
+from repro.robots.scheduler import FsyncScheduler, set_batched_compute
 
 
 @pytest.fixture(autouse=True)
@@ -136,41 +136,31 @@ class TestSchedulerIntegration:
         target = polyhedra.regular_polygon_pattern(n)
         frames = random_frames(n, rng)
         scheduler = FsyncScheduler(
-            make_pattern_formation_algorithm(target), frames, target=target,
-            batched=batched)
-        result = scheduler.run(
-            initial, stop_condition=lambda c: c.is_similar_to(target),
-            max_rounds=30)
-        assert result.reached
-        # Per round the trace config plus n robot observations are all
-        # congruent; distinct classes only appear when the swarm moves.
-        classes_touched = result.rounds + 1
-        sym = result.cache_stats["symmetry"]
-        assert sym["misses"] <= classes_touched
-        rnd = result.cache_stats["round"]
-        assert rnd["misses"] <= classes_touched
-        if batched:
-            # One world-frame Compute per round: no per-robot traffic.
-            assert rnd["hits"] + rnd["misses"] <= classes_touched
-        else:
-            assert rnd["hits"] >= n - 1  # robots share the round's Compute
-
-    def test_run_stats_are_per_run_deltas(self):
-        points = named_pattern("cube")
-        Configuration(points).symmetry  # pollute global counters
-        n = 8
-        rng = np.random.default_rng(5)
-        target = polyhedra.regular_polygon_pattern(n)
-        frames = random_frames(n, rng)
-        scheduler = FsyncScheduler(
             make_pattern_formation_algorithm(target), frames, target=target)
         before = perf.cache_stats()
-        result = scheduler.run(
-            [rng.normal(size=3) for _ in range(n)],
-            stop_condition=lambda c: c.is_similar_to(target),
-            max_rounds=30)
+        set_batched_compute(batched)
+        try:
+            result = scheduler.run(
+                initial, stop_condition=lambda c: c.is_similar_to(target),
+                max_rounds=30)
+        finally:
+            set_batched_compute(True)
         after = perf.cache_stats()
-        for cache in ("symmetry", "symmetricity"):
-            for counter in ("hits", "misses"):
-                assert result.cache_stats[cache][counter] == \
-                    after[cache][counter] - before[cache][counter]
+        assert result.reached
+        # Per round the run's configuration and the robots'
+        # observations are all congruent; distinct classes only appear
+        # when the swarm moves.
+        classes_touched = result.rounds + 1
+
+        def delta(cache, counter):
+            return after[cache][counter] - before[cache][counter]
+
+        assert delta("symmetry", "misses") <= classes_touched
+        assert delta("round", "misses") <= classes_touched
+        if batched:
+            # One world-frame Compute per round: no per-robot traffic.
+            assert delta("round", "hits") + delta("round", "misses") \
+                <= classes_touched
+        else:
+            # Robots share the round's Compute.
+            assert delta("round", "hits") >= n - 1

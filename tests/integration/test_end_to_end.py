@@ -62,13 +62,12 @@ class TestTheorem11BothDirections:
                                   np.random.default_rng(1))
         algorithm = make_pattern_formation_algorithm(cube)
         scheduler = FsyncScheduler(algorithm, frames, target=cube)
-        points = octagon
+        current = config
         for _ in range(5):
             try:
-                points = scheduler.step(points)
+                current = Configuration(scheduler.step(current))
             except Exception:
                 break  # rejecting the instance is a valid outcome
-            current = Configuration(points)
             assert not current.is_similar_to(cube)
             gamma = current.symmetry
             if gamma.kind == "finite":

@@ -35,13 +35,13 @@ class TestModelViolations:
         scheduler = FsyncScheduler(
             lambda obs: np.array([np.nan, 0.0, 0.0]), identity_frames(8))
         with pytest.raises(SimulationError):
-            scheduler.step(cube)
+            scheduler.step(Configuration(cube))
 
     def test_algorithm_returning_wrong_shape_rejected(self, cube):
         scheduler = FsyncScheduler(lambda obs: np.zeros(2),
                                    identity_frames(8))
         with pytest.raises(SimulationError):
-            scheduler.step(cube)
+            scheduler.step(Configuration(cube))
 
 
 class TestProblemInstanceViolations:
@@ -122,4 +122,4 @@ class TestAdversaryMisuse:
         scheduler = FsyncScheduler(algorithm, identity_frames(5),
                                    target=cube)
         with pytest.raises(SimulationError):
-            scheduler.step(cube)
+            scheduler.step(Configuration(cube))

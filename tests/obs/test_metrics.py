@@ -94,34 +94,6 @@ class TestCacheViews:
         assert any(name.startswith("cache.l3.") for name in flat)
         assert list(flat) == sorted(flat)
 
-    def test_l1_snapshot_matches_execution_result(self):
-        # The scheduler's per-run cache_stats and the CLI's cache
-        # render read the same counters; the per-run delta of the
-        # snapshot function must match what the result reports
-        # (windowed around scheduler.run, which is what the result
-        # covers).
-        import numpy as np
-
-        from repro.patterns import polyhedra
-        from repro.robots import FsyncScheduler, random_frames
-        from repro.robots.algorithms.pattern_formation import (
-            make_pattern_formation_algorithm,
-        )
-
-        n = 8
-        rng = np.random.default_rng(5)
-        target = polyhedra.regular_polygon_pattern(n)
-        scheduler = FsyncScheduler(
-            make_pattern_formation_algorithm(target),
-            random_frames(n, rng), target=target)
-        before = metrics_mod.l1_snapshot()
-        result = scheduler.run(
-            [rng.normal(size=3) for _ in range(n)],
-            stop_condition=lambda c: c.is_similar_to(target),
-            max_rounds=30)
-        after = metrics_mod.l1_snapshot()
-        assert result.cache_stats == metrics_mod.l1_delta(before, after)
-
     def test_l1_snapshot_is_nested_ints(self):
         snap = metrics_mod.l1_snapshot()
         assert set(snap) >= {"symmetry", "symmetricity", "subgroups",

@@ -12,9 +12,10 @@ the two engines together three ways:
   phase) under adversarial local frames;
 * byte-identical experiment rows for every registered experiment with
   the batched engine forced on and forced off;
-* the fallback contract — algorithms without ``compute_batch`` (or
-  declining a round) run through the reference loop and the
-  ``scheduler.batched_fallbacks`` counter records it.
+* the fallback contract — plain callables, and every algorithm while
+  ``set_batched_compute(False)`` holds, run through the reference loop
+  and the ``scheduler.batched_fallbacks`` counter records it, while a
+  ``compute_batch`` that answers ``None`` is an error.
 """
 
 import json
@@ -25,6 +26,7 @@ import pytest
 
 from repro import perf
 from repro.core.configuration import Configuration
+from repro.errors import SimulationError
 from repro.geometry import convex
 from repro.obs import metrics as _metrics
 from repro.patterns import polyhedra
@@ -57,6 +59,19 @@ def fresh_caches():
 def _fallbacks() -> int:
     counters = _metrics.registry().snapshot()["counters"]
     return counters.get("scheduler.batched_fallbacks", 0)
+
+
+def _step(algorithm, frames, points, batched: bool, target=None):
+    """One round on the chosen Compute engine, checked to run there."""
+    set_batched_compute(batched)
+    try:
+        before = _fallbacks()
+        reached = FsyncScheduler(algorithm, frames, target=target).step(
+            Configuration(points))
+        assert _fallbacks() == before + (0 if batched else 1)
+    finally:
+        set_batched_compute(True)
+    return reached
 
 
 def _posed(points, rng):
@@ -111,18 +126,9 @@ def test_batched_destinations_match_per_robot(seed):
     frames = random_frames(len(points), np.random.default_rng(1000 + seed))
 
     perf.clear_caches()
-    batched_scheduler = FsyncScheduler(algorithm, frames, target=target,
-                                       batched=True)
-    before = _fallbacks()
-    batched = batched_scheduler.step(points)
-    assert _fallbacks() == before  # the batched path actually ran
-
+    batched = _step(algorithm, frames, points, True, target)
     perf.clear_caches()
-    reference_scheduler = FsyncScheduler(algorithm, frames, target=target,
-                                         batched=False)
-    before = _fallbacks()
-    reference = reference_scheduler.step(points)
-    assert _fallbacks() == before + 1  # the reference loop actually ran
+    reference = _step(algorithm, frames, points, False, target)
 
     scale = max(Configuration(points).radius, 1.0)
     for a, b in zip(batched, reference):
@@ -132,14 +138,11 @@ def test_batched_destinations_match_per_robot(seed):
 def _step_both(algorithm, points, frames, reference_l1=True):
     """One round on each engine; the reference may run with L1 off."""
     perf.clear_caches()
-    before = _fallbacks()
-    batched = FsyncScheduler(algorithm, frames, batched=True).step(points)
-    assert _fallbacks() == before  # the batched path actually ran
+    batched = _step(algorithm, frames, points, True)
     perf.clear_caches()
     perf.set_enabled(reference_l1)
     try:
-        reference = FsyncScheduler(algorithm, frames,
-                                   batched=False).step(points)
+        reference = _step(algorithm, frames, points, False)
     finally:
         perf.set_enabled(True)
     scale = max(Configuration(points).radius, 1.0)
@@ -230,9 +233,8 @@ def test_go_to_center_round_builds_one_hull(monkeypatch):
     monkeypatch.setattr(convex.ConvexPolyhedron, "__init__", counted)
     rng = np.random.default_rng(3)
     points = _posed(named_pattern("icosahedron"), rng)
-    scheduler = FsyncScheduler(psi_sym, random_frames(12, rng),
-                               batched=True)
-    moved = scheduler.step(points)
+    scheduler = FsyncScheduler(psi_sym, random_frames(12, rng))
+    moved = scheduler.step(Configuration(points))
     assert len(built) == 1
     assert not np.allclose(np.asarray(moved), np.asarray(points))
 
@@ -250,18 +252,21 @@ def test_batched_run_matches_per_robot_run(seed):
     traces = {}
     for batched in (True, False):
         perf.clear_caches()
-        scheduler = FsyncScheduler(algorithm, frames, target=target,
-                                   batched=batched)
-        result = scheduler.run(
-            points, stop_condition=lambda c: c.is_similar_to(target),
-            max_rounds=30)
+        scheduler = FsyncScheduler(algorithm, frames, target=target)
+        set_batched_compute(batched)
+        try:
+            result = scheduler.run(
+                points, stop_condition=lambda c: c.is_similar_to(target),
+                max_rounds=30)
+        finally:
+            set_batched_compute(True)
         assert result.reached
-        traces[batched] = result.configurations
+        traces[batched] = result.positions
 
     assert len(traces[True]) == len(traces[False])
-    for batched_config, reference_config in zip(traces[True], traces[False]):
-        scale = max(reference_config.radius, 1.0)
-        for a, b in zip(batched_config.points, reference_config.points):
+    for batched_round, reference_round in zip(traces[True], traces[False]):
+        scale = max(Configuration(reference_round).radius, 1.0)
+        for a, b in zip(batched_round, reference_round):
             assert float(np.linalg.norm(a - b)) <= 1e-6 * scale
 
 
@@ -299,7 +304,7 @@ def test_experiment_rows_identical_on_both_engines(name):
 
 
 class _DecliningAlgorithm:
-    """A batched algorithm that always declines the round."""
+    """A batched algorithm that answers ``None`` for the round."""
 
     def __call__(self, observation):
         return observation.own_position()
@@ -321,21 +326,22 @@ class TestFallback:
 
         scheduler = FsyncScheduler(contract, random_frames(n, rng))
         before = _fallbacks()
-        destinations = scheduler.step(points)
+        destinations = scheduler.step(Configuration(points))
         assert _fallbacks() == before + 1
         assert len(destinations) == n
 
-    def test_declining_compute_batch_falls_back(self):
+    def test_declining_compute_batch_is_rejected(self):
+        """``compute_batch`` always answers: ``None`` is an error, not a
+        fallback to the per-robot loop."""
         n = 5
         rng = np.random.default_rng(3)
         points = [rng.normal(size=3) for _ in range(n)]
         scheduler = FsyncScheduler(_DecliningAlgorithm(),
                                    random_frames(n, rng))
         before = _fallbacks()
-        reached = scheduler.step(points)
-        assert _fallbacks() == before + 1
-        for start, end in zip(points, reached):
-            assert float(np.linalg.norm(end - np.asarray(start))) < 1e-9
+        with pytest.raises(SimulationError):
+            scheduler.step(Configuration(points))
+        assert _fallbacks() == before
 
     def test_process_default_disables_batching(self):
         n = 6
@@ -345,19 +351,19 @@ class TestFallback:
         algorithm = make_pattern_formation_algorithm(target)
         scheduler = FsyncScheduler(algorithm, random_frames(n, rng),
                                    target=target)
+        config = Configuration(points)
         assert batched_compute_enabled()
         try:
             set_batched_compute(False)
             before = _fallbacks()
-            scheduler.step(points)
+            scheduler.step(config)
             assert _fallbacks() == before + 1
         finally:
             set_batched_compute(True)
-        # Explicit per-scheduler choice beats the process default.
-        pinned = FsyncScheduler(algorithm, random_frames(n, rng),
-                                target=target, batched=True)
+        # The switch is read at every step, so the same scheduler is
+        # back on the batched engine.
         before = _fallbacks()
-        pinned.step(points)
+        scheduler.step(config)
         assert _fallbacks() == before
 
 

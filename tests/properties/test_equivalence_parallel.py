@@ -77,7 +77,7 @@ def _equivalence_row(payload):
     if recognize_goc_polyhedron(points) is not None:
         frames = random_frames(len(points), rng)
         scheduler = FsyncScheduler(go_to_center_algorithm, frames)
-        row["after"] = _hex_points(scheduler.step(points))
+        row["after"] = _hex_points(scheduler.step(config))
     return row
 
 

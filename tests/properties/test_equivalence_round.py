@@ -42,7 +42,7 @@ from repro.robots.algorithms.matching import match_configuration_to_pattern
 from repro.robots.algorithms.pattern_formation import (
     make_pattern_formation_algorithm,
 )
-from repro.robots.scheduler import FsyncScheduler
+from repro.robots.scheduler import FsyncScheduler, set_batched_compute
 
 
 @pytest.fixture(autouse=True)
@@ -205,7 +205,7 @@ def test_batched_step_matches_serial_oracle(seed, enabled):
     perf.set_enabled(enabled)
     algorithm, frames, points, target = _step_zoo(seed)
     scheduler = FsyncScheduler(algorithm, frames, target=target)
-    batched = scheduler.step(points)
+    batched = scheduler.step(Configuration(points))
     perf.clear_caches()
     serial = oracle_step(algorithm, frames, points, target=target)
     scale = max(Configuration(points).radius, 1.0)
@@ -291,7 +291,7 @@ def test_psi_pf_destinations_cache_on_equals_cache_off(seed):
 
     This property is about the per-robot reference path (the batched
     strategy queries the cache once, in the world frame), so the
-    scheduler is pinned to ``batched=False``.
+    reference engine is forced with ``set_batched_compute(False)``.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 13))
@@ -299,15 +299,18 @@ def test_psi_pf_destinations_cache_on_equals_cache_off(seed):
     target = polyhedra.regular_polygon_pattern(n)
     frames = random_frames(n, rng)
     algorithm = make_pattern_formation_algorithm(target)
-    scheduler = FsyncScheduler(algorithm, frames, target=target,
-                               batched=False)
+    scheduler = FsyncScheduler(algorithm, frames, target=target)
 
-    perf.set_enabled(True)
-    perf.clear_caches()
-    cached = scheduler.step(points)
-    assert perf.cache_stats()["round"]["hits"] > 0
-    perf.set_enabled(False)
-    direct = scheduler.step(points)
+    set_batched_compute(False)
+    try:
+        perf.set_enabled(True)
+        perf.clear_caches()
+        cached = scheduler.step(Configuration(points))
+        assert perf.cache_stats()["round"]["hits"] > 0
+        perf.set_enabled(False)
+        direct = scheduler.step(Configuration(points))
+    finally:
+        set_batched_compute(True)
     scale = max(Configuration(points).radius, 1.0)
     for a, b in zip(cached, direct):
         assert float(np.linalg.norm(a - b)) <= 1e-6 * scale

@@ -81,10 +81,10 @@ class TestSymmetricFrames:
             return 0.3 * far + np.array([0.1, 0.05, -0.2])
 
         scheduler = FsyncScheduler(arbitrary_algorithm, frames)
-        points = cube
+        config = Configuration(cube)
         for _ in range(3):
-            points = scheduler.step(points)
-            report = Configuration(points).symmetry
+            config = Configuration(scheduler.step(config))
+            report = config.symmetry
             assert report.kind in ("finite", "collinear", "degenerate")
             if report.kind == "finite":
                 assert is_abstract_subgroup(spec, report.group.spec)

@@ -105,7 +105,8 @@ class TestLemma7:
         for seed in range(3):
             frames = random_frames(len(pts),
                                    np.random.default_rng(seed))
-            after = FsyncScheduler(go_to_center_algorithm, frames).step(pts)
+            after = FsyncScheduler(go_to_center_algorithm,
+                                   frames).step(Configuration(pts))
             config = Configuration(after)
             report = config.symmetry
             assert report.kind == "finite"
@@ -115,6 +116,7 @@ class TestLemma7:
     def test_noop_on_other_configurations(self):
         pts = named_pattern("pentagonal_prism")
         frames = random_frames(len(pts), np.random.default_rng(0))
-        after = FsyncScheduler(go_to_center_algorithm, frames).step(pts)
+        after = FsyncScheduler(go_to_center_algorithm,
+                               frames).step(Configuration(pts))
         for a, b in zip(after, pts):
             assert np.allclose(a, b, atol=1e-9)

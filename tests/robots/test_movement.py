@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.configuration import Configuration
 from repro.errors import SimulationError
 from repro.patterns.library import named_pattern
 from repro.robots.adversary import identity_frames, random_frames
@@ -58,8 +59,8 @@ class TestNonRigidMovement:
             algorithm, frames, target=octagon,
             movement=NonRigidMovement(delta=100.0,
                                       rng=np.random.default_rng(2)))
-        a = rigid.step(cube)
-        b = nonrigid.step(cube)
+        a = rigid.step(Configuration(cube))
+        b = nonrigid.step(Configuration(cube))
         for x, y in zip(a, b):
             assert np.allclose(x, y)
 

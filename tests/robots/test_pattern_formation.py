@@ -92,7 +92,7 @@ class TestVariedInstances:
         frames = random_frames(8, np.random.default_rng(9))
         algorithm = make_pattern_formation_algorithm(octagon)
         scheduler = FsyncScheduler(algorithm, frames, target=octagon)
-        after = scheduler.step(result.final.points)
+        after = scheduler.step(result.final)
         for a, b in zip(after, result.final.points):
             assert np.allclose(a, b, atol=1e-9)
 
@@ -145,7 +145,7 @@ class TestTargetViaObservation:
         frames = random_frames(8, np.random.default_rng(2))
         scheduler = FsyncScheduler(algorithm, frames)  # no target
         with pytest.raises(SimulationError):
-            scheduler.step(cube)
+            scheduler.step(Configuration(cube))
 
 
 class TestPublicApi:

@@ -63,7 +63,7 @@ class TestBehaviour:
         rng = np.random.default_rng(5)
         algorithm = make_randomized_formation_algorithm(cube, rng)
         scheduler = FsyncScheduler(algorithm, frames, target=cube)
-        after = scheduler.step(result.final.points)
+        after = scheduler.step(result.final)
         for a, b in zip(after, result.final.points):
             assert np.allclose(a, b, atol=1e-9)
 

@@ -51,11 +51,10 @@ class TestSequenceExecution:
         frames = random_frames(12, np.random.default_rng(0))
         scheduler = FsyncScheduler(algorithm, frames)
 
-        points = patterns[0]
+        config = Configuration(patterns[0])
         visits = []
         for _ in range(9):
-            points = scheduler.step(points)
-            config = Configuration(points)
+            config = Configuration(scheduler.step(config))
             for i, pattern in enumerate(patterns):
                 if config.is_similar_to(pattern):
                     visits.append(i)
@@ -72,11 +71,10 @@ class TestSequenceExecution:
         start = [rng.normal(size=3) for _ in range(12)]
         frames = random_frames(12, np.random.default_rng(1))
         scheduler = FsyncScheduler(algorithm, frames)
-        points = start
+        config = Configuration(start)
         reached = False
         for _ in range(10):
-            points = scheduler.step(points)
-            config = Configuration(points)
+            config = Configuration(scheduler.step(config))
             if any(config.is_similar_to(p) for p in patterns):
                 reached = True
                 break

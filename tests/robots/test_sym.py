@@ -148,7 +148,7 @@ class TestCenterRobot:
         points = polyhedra.prism(4) + [np.zeros(3)]
         frames = random_frames(len(points), np.random.default_rng(1))
         scheduler = FsyncScheduler(psi_sym, frames)
-        after = scheduler.step(points)
+        after = scheduler.step(Configuration(points))
         # The prism robots stay; the center robot moved off center.
         for i in range(8):
             assert np.allclose(after[i], points[i], atol=1e-9)

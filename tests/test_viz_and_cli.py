@@ -96,7 +96,7 @@ class TestCli:
         assert "error: spec 'trials'" in capsys.readouterr().err
 
     def test_campaign_status_without_a_store(self, tmp_path, capsys):
-        store = tmp_path / "results.duckdb"
+        store = tmp_path / "results.jsonl"
         assert main(["campaign", "status", "--store", str(store)]) == 2
         err = capsys.readouterr().err
         assert "no campaign store at" in err
