@@ -104,6 +104,6 @@ def form_pattern(initial_points, target_points, seed: int = 0,
     algorithm = make_pattern_formation_algorithm(target.points)
     scheduler = FsyncScheduler(algorithm, frames, target=target.points)
     return scheduler.run(
-        initial.points,
+        initial,
         stop_condition=lambda c: c.is_similar_to(target),
         max_rounds=max_rounds)

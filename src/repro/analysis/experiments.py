@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.core.formability import formability_report
 from repro.core.symmetricity import symmetricity
+from repro.errors import EmbeddingError
 from repro.groups.subgroups import is_abstract_subgroup
 from repro.patterns import polyhedra
 from repro.patterns.library import compose_shells, named_pattern
@@ -237,7 +238,7 @@ def _theorem11_instance_row(payload) -> Theorem11Row:
                        predicted_formable=report.formable)
     if report.formable:
         row.formed_random, row.rounds = _run_formation(
-            p_points, f_points, random_frames(
+            initial, f_points, random_frames(
                 len(p_points), np.random.default_rng(random_stream)))
         witness_spec = report.initial_symmetricity.maximal[0]
         witness = report.initial_symmetricity.witness(witness_spec)
@@ -245,7 +246,7 @@ def _theorem11_instance_row(payload) -> Theorem11Row:
             frames = symmetric_frames(initial, witness,
                                       np.random.default_rng(worst_stream))
             row.formed_worst_case, _ = _run_formation(
-                p_points, f_points, frames)
+                initial, f_points, frames)
     else:
         row.lower_bound_held = _check_lower_bound(
             initial, f_points, report, np.random.default_rng(bound_stream))
@@ -271,13 +272,15 @@ def _theorem11_rows(seed: int = 0,
     return parallel_map(_theorem11_instance_row, items, jobs=jobs)
 
 
-def _run_formation(p_points, f_points, frames,
+def _run_formation(initial, f_points, frames,
                    max_rounds: int = 30) -> tuple[bool, int]:
+    """``ψ_PF`` from ``initial`` (points, or the built ``P(0)``) to
+    ``F``: whether it formed, and in how many rounds."""
     algorithm = make_pattern_formation_algorithm(f_points)
     scheduler = FsyncScheduler(algorithm, frames, target=f_points)
     try:
         result = scheduler.run(
-            p_points,
+            initial,
             stop_condition=lambda c: c.is_similar_to(f_points),
             max_rounds=max_rounds)
         return result.reached, result.rounds
@@ -289,7 +292,11 @@ def _check_lower_bound(initial: Configuration, f_points, report,
                        rng) -> bool:
     """Lemma 2/4: under frames with ``σ(P) = G`` for a blocking ``G``,
     every reachable configuration keeps ``γ(P(t)) ⪰ G`` and never
-    becomes similar to ``F``."""
+    becomes similar to ``F``.
+
+    ψ_PF refusing a round (:class:`EmbeddingError`: ``γ(P) ∉ ϱ(F)``)
+    keeps the bound; any other exception is a fault and propagates.
+    """
     blocking = [g for g in report.blocking
                 if report.initial_symmetricity.witness(g) is not None]
     if not blocking:
@@ -303,7 +310,7 @@ def _check_lower_bound(initial: Configuration, f_points, report,
     for _ in range(10):
         try:
             points = scheduler.step(config)
-        except Exception:
+        except EmbeddingError:
             return True  # the algorithm rejected the instance: fine
         config = Configuration(points)
         if config.is_similar_to(f_points):

@@ -9,8 +9,8 @@ cache) — and this package runs that grid as one unit of work:
 * :mod:`repro.campaign.runner` executes the grid — resumable
   (completed digests are skipped), coalescing (equal digests run
   once), largest-cell-first — on one process pool
-  (:func:`repro.perf.parallel.process_pool`) that keeps the L2 store
-  attached across the run's cells;
+  (:func:`repro.perf.parallel.process_pool`) whose workers keep their
+  L2 stores across the run's cells;
 * :mod:`repro.campaign.store` persists results as canonical JSONL;
 * :mod:`repro.campaign.report` regenerates the paper tables from the
   store.

@@ -16,8 +16,8 @@ run``.  Pipeline:
 5. **Execute** — every cell is one :func:`run_cell_task` through
    :func:`repro.perf.parallel.worker_task`: inline for ``jobs=1`` (the
    byte-exact reference) or on one :func:`repro.perf.parallel.
-   process_pool` that lives for the whole run, so the L2 store stays
-   warm across cells.  Each completed cell is persisted
+   process_pool` that lives for the whole run, so each worker's L2
+   store stays warm across the cells it runs.  Each completed cell is persisted
    *immediately*, so an interrupted campaign resumes from the last
    completed cell.
 

@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=0,
         help="worker processes for query evaluation (default 0 "
              "= inline threads; >0 runs the process pool that trials "
-             "and campaign cells use, with a shared warm L2 store)")
+             "and campaign cells use, each worker with a warm L2 store)")
     serve.add_argument(
         "--queue-depth", type=int, default=16,
         help="max in-flight queries before 429 backpressure "

@@ -22,8 +22,8 @@ REP008      determinism taint: no clock/identity/set-order value
             or cache keys
 REP009      seed provenance: no cross-module seed arithmetic feeding
             an RNG on a run path; ``SeedSequence.spawn`` only
-REP010      resource lifecycle: shared-memory acquire/release pairing
-            holds on exception paths; no pre-fork thread primitives
+REP010      pre-fork threads: no ``threading`` primitive created on
+            a path that runs before the process pool forks
 REP011      facade contract: public ``repro.api``/``repro.campaign``
             signatures fully annotated; ``GRID_AXES`` in sync with
             ``ExperimentSpec``

@@ -72,8 +72,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "reproduction: tolerance discipline, "
                     "obliviousness, cache purity, seeding, "
                     "determinism, and the cross-module dataflow "
-                    "rules (taint, seed provenance, resource "
-                    "lifecycle, facade contracts).")
+                    "rules (taint, seed provenance, pre-fork "
+                    "threads, facade contracts).")
     parser.add_argument(
         "paths", nargs="*", default=list(_DEFAULT_PATHS),
         help="files or directories to lint (default: src benchmarks)")

@@ -17,7 +17,7 @@ them.  This module builds that model in two stages:
 2. :class:`Project` assembles the summaries, resolves dotted call
    references against imports and symbol tables, and answers the
    queries the dataflow pass (:mod:`repro.lint.dataflow`) and the
-   project rules ask: "which function is ``shared.SharedStore.create``
+   project rules ask: "which function is ``parallel.process_pool``
    here?", "which modules are transitively imported from
    ``repro.api``?".
 
@@ -40,15 +40,9 @@ __all__ = [
     "FunctionInfo",
     "ModuleSummary",
     "Project",
-    "ResourceEvent",
     "module_name_for",
     "summarize_module",
 ]
-
-#: Methods whose call on a resource variable counts as releasing it.
-_CLEANUP_METHODS = frozenset((
-    "close", "unlink", "shutdown", "terminate", "release", "join",
-))
 
 
 def module_name_for(posix_path: str) -> str:
@@ -99,27 +93,8 @@ class CallIR:
     #: dotted name (``SeedSequence(seed).spawn(n)``) — taint on the
     #: receiver reaches the result.
     recv: ExprIR | None = None
-    #: ``create=True`` keyword present (SharedMemory creation side).
-    create_kw: bool = False
     line: int = 0
     col: int = 0
-
-
-@dataclass(frozen=True)
-class ResourceEvent:
-    """One candidate acquisition site for the lifecycle rule."""
-
-    var: str
-    ref: str | None
-    create_kw: bool
-    line: int
-    col: int
-    in_with: bool
-    risky_after: bool
-    cleanup_any: bool
-    cleanup_protected: bool
-    returned: bool
-    stored_self: bool
 
 
 @dataclass
@@ -139,10 +114,6 @@ class FunctionInfo:
         default_factory=list)
     #: Nested function name → qualname, for call resolution.
     local_funcs: dict[str, str] = field(default_factory=dict)
-    #: (ref, had create=True kwarg) of calls whose result this
-    #: function returns (directly, or through a local variable).
-    return_call_refs: tuple[tuple[str, bool], ...] = ()
-    resources: tuple[ResourceEvent, ...] = ()
     is_public: bool = True
     #: Parameter names (plus "return") lacking annotations.
     missing_annotations: tuple[str, ...] = ()
@@ -202,16 +173,10 @@ def _lower_call(node: ast.Call) -> CallIR:
     for arg in node.args:
         target = arg.value if isinstance(arg, ast.Starred) else arg
         args.append(_lower_expr(target))
-    keywords: list[tuple[str | None, ExprIR]] = []
-    create_kw = False
-    for kw in node.keywords:
-        keywords.append((kw.arg, _lower_expr(kw.value)))
-        if kw.arg == "create" and isinstance(kw.value, ast.Constant) \
-                and kw.value.value is True:
-            create_kw = True
-    return CallIR(ref=ref, args=tuple(args), keywords=tuple(keywords),
-                  recv=recv, create_kw=create_kw,
-                  line=node.lineno, col=node.col_offset)
+    keywords = tuple((kw.arg, _lower_expr(kw.value))
+                     for kw in node.keywords)
+    return CallIR(ref=ref, args=tuple(args), keywords=keywords,
+                  recv=recv, line=node.lineno, col=node.col_offset)
 
 
 def _lower_expr(node: ast.AST) -> ExprIR:
@@ -265,17 +230,8 @@ def _target_names(target: ast.AST) -> tuple[str, ...]:
     return ()
 
 
-def _self_target(target: ast.AST) -> str | None:
-    """``"self.attr"`` for an attribute store on self, else None."""
-    if isinstance(target, ast.Attribute) and \
-            isinstance(target.value, ast.Name) and \
-            target.value.id in ("self", "cls"):
-        return f"{target.value.id}.{target.attr}"
-    return None
-
-
 class _FunctionLowerer:
-    """Lowers one function body to ops + resource events."""
+    """Lowers one function body to ops."""
 
     def __init__(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
                  qualname: str, cls_name: str | None) -> None:
@@ -285,7 +241,6 @@ class _FunctionLowerer:
             params=self._param_names(node), line=node.lineno,
             col=node.col_offset,
             is_public=not node.name.startswith("_"))
-        self._candidates: list[tuple[str, CallIR, bool]] = []
         self._nested: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
 
     @staticmethod
@@ -305,9 +260,7 @@ class _FunctionLowerer:
                              list[ast.FunctionDef | ast.AsyncFunctionDef]]:
         self._missing_annotations()
         for stmt in self.node.body:
-            self._stmt(stmt, in_with=False)
-        self._finish_resources()
-        self._return_refs()
+            self._stmt(stmt)
         return self.info, self._nested
 
     def _missing_annotations(self) -> None:
@@ -326,7 +279,7 @@ class _FunctionLowerer:
         self.info.missing_annotations = tuple(missing)
 
     # -- statements ----------------------------------------------------
-    def _stmt(self, stmt: ast.stmt, in_with: bool) -> None:
+    def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             self.info.local_funcs[stmt.name] = \
                 f"{self.info.qualname}.{stmt.name}"
@@ -346,31 +299,28 @@ class _FunctionLowerer:
             self.info.ops.append(("iter", _target_names(stmt.target),
                                   _lower_expr(stmt.iter)))
             for sub in stmt.body + stmt.orelse:
-                self._stmt(sub, in_with)
+                self._stmt(sub)
             return
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
                 targets = _target_names(item.optional_vars) \
                     if item.optional_vars is not None else ()
-                expr = _lower_expr(item.context_expr)
-                self.info.ops.append(("assign", targets, expr))
-                if targets:
-                    for call in expr.calls:
-                        self._candidates.append((targets[0], call, True))
+                self.info.ops.append(
+                    ("assign", targets, _lower_expr(item.context_expr)))
             for sub in stmt.body:
-                self._stmt(sub, in_with=True)
+                self._stmt(sub)
             return
         if isinstance(stmt, (ast.If, ast.While)):
             self.info.ops.append(("expr", (), _lower_expr(stmt.test)))
             for sub in stmt.body + stmt.orelse:
-                self._stmt(sub, in_with)
+                self._stmt(sub)
             return
         if isinstance(stmt, ast.Try):
             for sub in stmt.body + stmt.orelse + stmt.finalbody:
-                self._stmt(sub, in_with)
+                self._stmt(sub)
             for handler in stmt.handlers:
                 for sub in handler.body:
-                    self._stmt(sub, in_with)
+                    self._stmt(sub)
             return
         if isinstance(stmt, ast.Expr):
             self.info.ops.append(("expr", (), _lower_expr(stmt.value)))
@@ -393,12 +343,10 @@ class _FunctionLowerer:
             targets: list[str] = []
             for target in stmt.targets:
                 targets.extend(_target_names(target))
-                self._resource_candidate(target, expr)
             self.info.ops.append(("assign", tuple(targets), expr))
         elif isinstance(stmt, ast.AnnAssign):
-            names = _target_names(stmt.target)
-            self.info.ops.append(("assign", names, expr))
-            self._resource_candidate(stmt.target, expr)
+            self.info.ops.append(
+                ("assign", _target_names(stmt.target), expr))
         else:  # AugAssign: target reads itself, result has arithmetic
             names = _target_names(stmt.target)
             combined = ExprIR(names=tuple(set(expr.names) | set(names)),
@@ -406,86 +354,6 @@ class _FunctionLowerer:
                               isset=expr.isset, line=expr.line,
                               col=expr.col)
             self.info.ops.append(("assign", names, combined))
-
-    def _resource_candidate(self, target: ast.AST, expr: ExprIR) -> None:
-        var = None
-        names = _target_names(target)
-        if len(names) == 1:
-            var = names[0]
-        else:
-            var = _self_target(target)
-        if var is None:
-            return
-        for call in expr.calls:
-            self._candidates.append((var, call, False))
-
-    # -- post-passes over the original AST -----------------------------
-    def _finish_resources(self) -> None:
-        """Resolve each candidate acquisition into a ResourceEvent."""
-        cleanup_lines: dict[str, list[tuple[int, bool]]] = {}
-        returned_vars: set[str] = set()
-        return_lines: list[int] = []
-        risky_lines: list[int] = []
-
-        protected: set[int] = set()
-        for outer in ast.walk(self.node):
-            if isinstance(outer, ast.Try):
-                shielded = outer.finalbody + [
-                    stmt for handler in outer.handlers
-                    for stmt in handler.body]
-                for stmt in shielded:
-                    for inner in ast.walk(stmt):
-                        if isinstance(inner, ast.Call):
-                            protected.add(inner.lineno)
-
-        for node in ast.walk(self.node):
-            if isinstance(node, ast.Call):
-                base = _call_ref(node.func)
-                if base is not None and "." in base and \
-                        base.rsplit(".", 1)[1] in _CLEANUP_METHODS:
-                    owner = base.rsplit(".", 1)[0]
-                    cleanup_lines.setdefault(owner, []).append(
-                        (node.lineno, node.lineno in protected))
-                else:
-                    risky_lines.append(node.lineno)
-            elif isinstance(node, ast.Return) and node.value is not None:
-                return_lines.append(node.lineno)
-                for name_node in ast.walk(node.value):
-                    if isinstance(name_node, ast.Name):
-                        returned_vars.add(name_node.id)
-
-        events = []
-        for var, call, in_with in self._candidates:
-            cleanups = cleanup_lines.get(var, [])
-            events.append(ResourceEvent(
-                var=var, ref=call.ref, create_kw=call.create_kw,
-                line=call.line, col=call.col, in_with=in_with,
-                risky_after=any(line > call.line for line in risky_lines),
-                cleanup_any=bool(cleanups),
-                cleanup_protected=any(prot for _, prot in cleanups),
-                returned=(var in returned_vars
-                          or var.startswith(("self.", "cls."))),
-                stored_self=var.startswith(("self.", "cls."))))
-        self.info.resources = tuple(events)
-
-    def _return_refs(self) -> None:
-        """Refs of calls whose results this function returns."""
-        assigned_refs: dict[str, tuple[str, bool]] = {}
-        refs: list[tuple[str, bool]] = []
-        for kind, targets, expr in self.info.ops:
-            if kind == "assign" and len(targets) == 1 and expr.calls:
-                call = expr.calls[0]
-                if call.ref is not None:
-                    assigned_refs[targets[0]] = (call.ref,
-                                                 call.create_kw)
-            elif kind == "return":
-                for call in expr.calls:
-                    if call.ref is not None:
-                        refs.append((call.ref, call.create_kw))
-                for name in expr.names:
-                    if name in assigned_refs:
-                        refs.append(assigned_refs[name])
-        self.info.return_call_refs = tuple(dict.fromkeys(refs))
 
 
 def _module_imports(tree: ast.Module, module_name: str, is_package: bool,
@@ -598,13 +466,12 @@ def summarize_module(posix_path: str, tree: ast.Module) -> ModuleSummary:
                                missing_annotations=())
     lowerer = _FunctionLowerer.__new__(_FunctionLowerer)
     lowerer.info = module_info
-    lowerer._candidates = []
     lowerer._nested = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef, ast.Import, ast.ImportFrom)):
             continue
-        lowerer._stmt(stmt, in_with=False)
+        lowerer._stmt(stmt)
     summary.functions["<module>"] = module_info
     return summary
 

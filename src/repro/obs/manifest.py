@@ -46,11 +46,8 @@ def package_info() -> dict:
 
 def cache_config() -> dict:
     """The cache hierarchy's configuration (not its counters)."""
-    import os
-
     from repro.perf import cache as _cache
     from repro.perf import disk as _disk
-    from repro.perf import shared as _shared
 
     store = _disk.disk_cache()
     l3 = {"enabled": store is not None}
@@ -60,8 +57,6 @@ def cache_config() -> dict:
     return {
         "enabled": _cache.is_enabled(),
         "l1_max_classes": _cache._MAX_CLASSES,
-        "l2_capacity_bytes": int(os.environ.get(
-            _shared._ENV_CAPACITY, _shared._DEFAULT_CAPACITY)),
         "l3": l3,
     }
 

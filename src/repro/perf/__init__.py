@@ -16,9 +16,9 @@ The package is organized as a cache hierarchy:
 
 * **L1** (:mod:`repro.perf.cache`, :mod:`repro.perf.round`) — the
   in-process congruence and indexed-round caches;
-* **L2** (:mod:`repro.perf.shared`) — a cross-process read-mostly
-  shared-memory store keyed by digests of exact input bytes, shared by
-  the workers of one process pool;
+* **L2** (:mod:`repro.perf.shared`) — each process-pool worker's own
+  bounded store keyed by digests of exact input bytes, shared by the
+  trials, cells and queries that worker runs;
 * **L3** (:mod:`repro.perf.disk`) — an on-disk persistent store under
   ``.repro-cache/`` for cold-start artifacts (group catalog, subgroup
   lattices, pattern signatures), keyed by package version.

@@ -24,12 +24,12 @@ continuous data is compared tolerantly per entry.  See
 
 These caches are the **L1** level of the cache hierarchy.  On an L1
 miss the finite-group detection, the ``ϱ(P)`` computation, and the
-subgroup enumeration additionally consult the cross-process **L2**
+subgroup enumeration additionally consult the pool worker's **L2**
 store (:mod:`repro.perf.shared`) under digests of their *exact* input
 bytes — the center-relative point array, the concrete group element
-stack and axis data — so sibling workers of a parallel run share the
-pure recomputation without ever sharing the history-dependent
-(conjugation-noisy) L1 state.
+stack and axis data — so a worker's later trials, cells and queries
+reuse the pure recomputation without ever sharing the
+history-dependent (conjugation-noisy) L1 state.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
     _stats["symmetry"]["misses"] += 1
     # L2: the detected group is a pure function of the exact
     # center-relative array, multiplicities, ball radius and
-    # tolerance — siblings of a parallel run observing byte-identical
-    # world configurations share one detection.
+    # tolerance — a worker's later tasks observing byte-identical
+    # world configurations reuse one detection.
     from repro.perf import shared as _shared
 
     report.group = _shared.shared_get_or_compute(

@@ -17,29 +17,29 @@ answer.  Three rules make results bit-identical for any worker count:
   caches, so a trial's float noise (conjugated cache hits vs direct
   computation) does not depend on which trials happened to run in the
   same worker before it.
-* **exact-key L2 sharing** — the cross-process store
-  (:mod:`repro.perf.shared`) is keyed by digests of exact input bytes
-  and stores only pure functions of those bytes, so *which* worker
-  published a value is unobservable in the results.
+* **exact-key L2** — each worker's store (:mod:`repro.perf.shared`)
+  is keyed by digests of exact input bytes and holds only pure
+  functions of those bytes, so whether an earlier task in the same
+  worker computed a value is unobservable in the results.
 
 **The pool.**  :func:`process_pool` is the one place a
-``ProcessPoolExecutor`` is built: ``jobs`` workers, each attached by
-the pool initializer to one fresh L2 store.  Its lifetime is the
-caller's scope — one :func:`parallel_map` call, one campaign run
+``ProcessPoolExecutor`` is built: ``jobs`` workers, each given its
+own L2 store by the pool initializer.  Its lifetime is the caller's
+scope — one :func:`parallel_map` call, one campaign run
 (:mod:`repro.campaign.runner`), one query server's life
 (:mod:`repro.serve.dispatch`).  On exit it cancels the tasks not yet
-started, lets the workers finish and exit, and folds the store's
-statistics into this process's L2 counters.
+started and lets the workers finish and exit.
 
 **The task.**  Every task, pooled or inline, runs through
 :func:`worker_task`: ``fn`` over a list of items, L1 cleared before
 each item when the caller's rule says so (every trial, every cell,
-run queries only), a failure returned as the worker traceback instead
-of raised across the pipe, and the L2 statistics flushed.  Trials and
-cells also ship back their logical-metric delta
-(:mod:`repro.obs.metrics`); the parent merges it, so the ``--jobs 1``
-and ``--jobs N`` registries report identical counters.  Query workers
-keep their counters.
+run queries only), and a failure returned as the worker traceback
+instead of raised across the pipe.  A pooled task also returns the
+change in its worker's L2 counters, which the parent folds into its
+own (:func:`task_values`, the serve dispatcher).  Trials and cells
+also ship back their logical-metric delta (:mod:`repro.obs.metrics`);
+the parent merges it, so the ``--jobs 1`` and ``--jobs N`` registries
+report identical counters.  Query workers keep their metric counters.
 
 :func:`parallel_map` sends four pickled chunks of items per worker.
 A raising trial surfaces as :class:`SimulationError` with the worker
@@ -51,7 +51,6 @@ error type.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -83,23 +82,26 @@ def spawn_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
 
 
 def worker_task(fn, items: list, *, fresh_l1: bool, ship_delta: bool,
-                ) -> tuple[bool, Any, dict | None]:
+                ) -> tuple[bool, Any, dict | None, dict | None]:
     """The pool's one task entry point: ``[fn(x) for x in items]``.
 
-    Returns ``(True, values, delta)``, or ``(False, traceback_text,
-    delta)`` for the first item that raised (the rest are skipped).
-    ``fresh_l1`` clears the L1 congruence caches before every item.
-    ``delta`` is the task's metric activity — the difference of
-    registry snapshots around it — when ``ship_delta``, else ``None``;
-    merge is commutative addition, so merged totals equal inline
-    totals for any chunking.  Runs in pool workers and, for the inline
-    reference paths, in the calling process.
+    Returns ``(True, values, delta, l2)``, or ``(False,
+    traceback_text, delta, l2)`` for the first item that raised (the
+    rest are skipped).  ``fresh_l1`` clears the L1 congruence caches
+    before every item.  ``delta`` is the task's metric activity — the
+    difference of registry snapshots around it — when ``ship_delta``,
+    else ``None``; merge is commutative addition, so merged totals
+    equal inline totals for any chunking.  ``l2`` is the change in
+    this process's L2 counters over the task, ``None`` where no store
+    is active (every path but a pool worker).  Runs in pool workers
+    and, for the inline reference paths, in the calling process.
     """
     from repro import perf
     from repro.obs import metrics as _metrics
     from repro.perf import shared
 
     before = _metrics.registry().snapshot() if ship_delta else None
+    l2_before = shared.counts()
     values: Any = []
     try:
         for item in items:
@@ -110,76 +112,63 @@ def worker_task(fn, items: list, *, fresh_l1: bool, ship_delta: bool,
     except Exception as exc:  # noqa: BLE001 — reported to the parent
         ok, values = False, (f"{type(exc).__name__}: {exc}\n"
                              f"{traceback.format_exc()}")
-    store = shared.active_store()
-    if store is not None:
-        store.flush_stats()
     delta = None if before is None else _metrics.snapshot_delta(
         before, _metrics.registry().snapshot())
-    return ok, values, delta
+    l2 = None if l2_before is None else {
+        field: value - l2_before[field]
+        for field, value in shared.counts().items()}
+    return ok, values, delta, l2
 
 
-def task_values(outcome: tuple[bool, Any, dict | None],
+def task_values(outcome: tuple[bool, Any, dict | None, dict | None],
                 what: str) -> list:
     """The values of a finished :func:`worker_task`.
 
-    Merges the task's shipped metric delta into this process's
-    registry, then raises :class:`SimulationError` with the worker
+    Merges the task's shipped metric delta and L2 counter change into
+    this process, then raises :class:`SimulationError` with the worker
     traceback if the task failed (``what`` names it in the message).
     """
-    ok, value, delta = outcome
+    from repro.perf import shared
+
+    ok, value, delta, l2 = outcome
     if delta:
         from repro.obs import metrics as _metrics
 
         _metrics.registry().merge(delta)
+    shared.merge_counts(l2)
     if not ok:
         raise SimulationError(f"{what} failed in worker:\n{value}")
     return value
 
 
-def _worker_init(store_name, store_lock) -> None:
-    """Pool initializer: attach this worker to the pool's L2 store."""
+def _worker_init() -> None:
+    """Pool initializer: give this worker its own L2 store."""
     from repro.perf import shared
 
-    try:
-        shared.activate(shared.SharedStore.attach(store_name, store_lock))
-    except (OSError, ValueError):
-        pass  # the store is an accelerator; never fail the worker
+    shared.activate()
 
 
 @contextmanager
 def process_pool(jobs: int) -> Iterator[ProcessPoolExecutor]:
     """``with process_pool(jobs) as pool:`` — ``jobs`` worker
-    processes sharing one fresh L2 store for the block's lifetime.
+    processes, each with its own L2 store, for the block's lifetime.
 
     Submit :func:`worker_task` calls to the executor.  Leaving the
-    block cancels tasks not yet started, waits for running ones and
-    the workers' exit, then folds the store's statistics into this
-    process's L2 counters and unlinks the segment.  A worker death
-    breaks the pool for good: every later result or submit raises
-    ``BrokenProcessPool``, which leaves the block as
-    :class:`SimulationError`.  Nothing is respawned.
+    block cancels tasks not yet started and waits for running ones and
+    the workers' exit.  A worker death breaks the pool for good: every
+    later result or submit raises ``BrokenProcessPool``, which leaves
+    the block as :class:`SimulationError`.  Nothing is respawned.
     """
-    from repro.perf import shared
-
-    context = multiprocessing.get_context()
-    lock = context.Lock()
-    store = shared.SharedStore.create(lock)
+    pool = ProcessPoolExecutor(max_workers=max(1, int(jobs)),
+                               initializer=_worker_init)
     try:
-        pool = ProcessPoolExecutor(
-            max_workers=max(1, int(jobs)), mp_context=context,
-            initializer=_worker_init, initargs=(store.name, lock))
-        try:
-            yield pool
-        except BrokenProcessPool as exc:
-            raise SimulationError(
-                "pool worker process died unexpectedly "
-                "(crash or out-of-memory kill)") from exc
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+        yield pool
+    except BrokenProcessPool as exc:
+        raise SimulationError(
+            "pool worker process died unexpectedly "
+            "(crash or out-of-memory kill)") from exc
     finally:
-        shared.accumulate_run(store.aggregated_stats())
-        store.close()
-        store.unlink()
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:

@@ -13,7 +13,7 @@ Two things live here because every level needs them:
   ``{"l1": ..., "l2": ..., "l3": ...}`` snapshot with ``hits`` /
   ``misses`` / ``evictions`` / ``bytes`` per level, pulling the L1
   numbers from the in-process congruence/round caches, the L2 numbers
-  from the shared-memory store, and the L3 numbers from the on-disk
+  from the pool workers' stores, and the L3 numbers from the on-disk
   store.
 """
 

@@ -60,11 +60,12 @@ def embed_target(config: Configuration, target_points) -> list[np.ndarray]:
     if len(target) != config.n:
         raise EmbeddingError("target pattern size must match the swarm")
 
-    if Configuration(target).symmetry.kind == "degenerate":
+    target_config = Configuration(target)
+    if target_config.symmetry.kind == "degenerate":
         # The point of multiplicity n: always formable; gather at b(P).
         return [config.center.copy() for _ in range(config.n)]
 
-    special = _polygon_or_point_case(config, target)
+    special = _polygon_case(config, target_config)
     if special is not None:
         return special
 
@@ -74,7 +75,6 @@ def embed_target(config: Configuration, target_points) -> list[np.ndarray]:
             "embedding requires a finite rotation group "
             "(run psi_sym to terminality first)")
 
-    target_config = Configuration(target)
     if group.is_trivial:
         return _embed_with_frames(config, target_config)
 
@@ -94,22 +94,20 @@ def embed_target(config: Configuration, target_points) -> list[np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Special cases: regular polygons and the point pattern
+# Special case: regular polygons
 # ----------------------------------------------------------------------
-def _polygon_or_point_case(config: Configuration,
-                           target) -> list[np.ndarray] | None:
+def _polygon_case(config: Configuration,
+                  target_config: Configuration) -> list[np.ndarray] | None:
     """Handle ``P`` = regular n-gon (ψ_SYM leaves it intact).
 
     Any solvable target from a regular ``n``-gon is either similar to
     the ``n``-gon itself (the only free ``C_n``-orbit of ``n`` points)
-    or the point of multiplicity ``n``; see DESIGN.md.
+    or the point of multiplicity ``n``, which :func:`embed_target`
+    has already gathered; see DESIGN.md.
     """
     fold = regular_polygon_fold(config.points)
     if fold is None or fold < 3:
         return None
-    target_config = Configuration(target)
-    if target_config.symmetry.kind == "degenerate":
-        return [config.center.copy() for _ in range(config.n)]
     if config.is_similar_to(target_config):
         return [p.copy() for p in config.points]
     raise EmbeddingError(

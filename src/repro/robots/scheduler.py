@@ -5,13 +5,13 @@ same configuration ``P(t)``, computes its next position with the common
 algorithm, and all movements are applied at once to produce
 ``P(t+1)``.  Movement is rigid (robots jump to their destinations).
 
-The scheduler alone builds a round's :class:`Configuration`.
-:meth:`FsyncScheduler.run` builds ``P(t)`` once; the stop condition
-judges it and :meth:`FsyncScheduler.step` hands the same object to
-Compute, so its enclosing ball and symmetry report are computed once
-per round.  The trace keeps positions only, so whatever Compute
-memoizes on ``P(t)`` (local views, the round cache's certified view)
-dies with the round.
+Each round has one :class:`Configuration`.  :meth:`FsyncScheduler.run`
+builds ``P(t)`` once, or takes ``P(0)`` as the caller built it; the
+stop condition judges it and :meth:`FsyncScheduler.step` hands the
+same object to Compute, so its enclosing ball and symmetry report are
+computed once per round.  The trace keeps positions only, so whatever
+Compute memoizes on ``P(t)`` (local views, the round cache's certified
+view) dies with the round.
 
 The scheduler is the tracing anchor of the pipeline: every ``run``
 opens a ``run`` span, every cycle a ``round`` span, and the three
@@ -235,8 +235,11 @@ class FsyncScheduler:
             max_rounds: int = 50) -> ExecutionResult:
         """Run until the stop condition, a fixpoint, or the round cap.
 
-        Each round's :class:`Configuration` is built once, judged by
-        the stop condition and stepped; the trace keeps its positions.
+        ``initial_points`` is ``P(0)``: positions, or a
+        :class:`Configuration` the caller already built, which is used
+        as given.  Each later round's :class:`Configuration` is built
+        once, judged by the stop condition and stepped; the trace
+        keeps its positions.
 
         Raises
         ------
@@ -257,7 +260,9 @@ class FsyncScheduler:
             return result
 
         with tracer.span("run", n=len(initial_points)):
-            config = Configuration(initial_points)
+            config = initial_points \
+                if isinstance(initial_points, Configuration) \
+                else Configuration(initial_points)
             positions = [config.as_array()]
             if stop_condition is not None and stop_condition(config):
                 return finish(reached=True, fixpoint=False)

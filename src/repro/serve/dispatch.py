@@ -12,12 +12,14 @@ hands each query to ``loop.run_in_executor`` as one
   nothing *blocks* it — right for tests, development and the CLI's
   default.
 * ``workers>0`` — over a :func:`repro.perf.parallel.process_pool`
-  that lives as long as the server: long-lived worker processes with
-  one shared warm L2 store, the same pool the experiment trials and
+  that lives as long as the server: long-lived worker processes, each
+  with its own warm L2 store, the same pool the experiment trials and
   campaign cells run on.  Query points travel pickled.
 
 Run queries clear L1 first (the campaign's per-cell rule); geometric
-queries keep it warm.  Query workers keep their metric counters.
+queries keep it warm.  Query workers keep their metric counters; each
+answer brings back its worker's L2 counter change, which the server
+folds into its own cache counters (``/v1/metrics`` ``cache.l2.*``).
 
 A worker that dies breaks the pool for good: that query and every
 later one answers 500 at once, :attr:`Dispatcher.broken` turns true
@@ -53,6 +55,7 @@ class Dispatcher:
         """``{"status": 200, "result": ...}`` or ``{"status": 422,
         "error": ...}``; raises :class:`ServiceError` (500) when the
         worker fails."""
+        from repro.perf import shared
         from repro.perf.parallel import worker_task
         from repro.serve.worker import run_query_task
 
@@ -70,12 +73,13 @@ class Dispatcher:
             if future.cancelled():  # queued when the pool closed
                 raise ServiceError("server shut down before the query "
                                    "completed", status=503)
-            ok, value, _ = future.result()
+            ok, value, _, l2 = future.result()
         except BrokenProcessPool:
             self.broken = True
             raise ServiceError("query worker process died; the pool is "
                                "broken until the server restarts",
                                status=500) from None
+        shared.merge_counts(l2)
         if not ok:
             raise ServiceError(f"query worker failed:\n{value}",
                                status=500)

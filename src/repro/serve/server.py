@@ -24,8 +24,7 @@ One event loop owns the sockets and the bookkeeping; dispatchers
 4. **Drain** — SIGTERM/SIGINT stops the listener, waits up to one
    deadline for in-flight queries, then closes the dispatcher — which
    cancels queries still queued (503), lets running ones finish, and
-   releases the worker pool and its L2 segment (REP010: nothing leaks
-   on any exit path).
+   releases the worker pool; each worker's L2 store goes with it.
 
 Counters live in the ``serve.`` namespace of the process
 :class:`repro.obs.metrics.MetricsRegistry` (performance-class: they
@@ -96,8 +95,8 @@ class QueryServer:
             from repro.serve.dispatch import Dispatcher
 
             self._dispatcher = Dispatcher(self.config.workers)
-        # The dispatcher may own processes and shared memory from
-        # here: release it if the listener fails to bind (REP010).
+        # The dispatcher may own worker processes from here: release
+        # it if the listener fails to bind.
         try:
             self._server = await asyncio.start_server(
                 self._on_connection, host=self.config.host,

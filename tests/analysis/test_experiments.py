@@ -1,7 +1,15 @@
 """Smoke tests for the experiment drivers behind the benchmarks."""
 
+import numpy as np
+import pytest
+
+from repro.analysis import experiments
 from repro.analysis.experiments import GOC_POLYHEDRA
 from repro.api import ExperimentSpec, run_experiment
+from repro.core.configuration import Configuration
+from repro.core.formability import formability_report
+from repro.errors import EmbeddingError
+from repro.patterns.library import named_pattern
 
 
 def _rows(name: str, **spec) -> list:
@@ -52,3 +60,30 @@ class Test2DDriver:
             assert row["predicted"] == (row["rho_F"] % row["rho_P"] == 0)
             if row["predicted"]:
                 assert row["formed"]
+
+
+class TestLowerBoundProbe:
+    """Only ψ_PF's refusal (``γ(P) ∉ ϱ(F)``) counts as Theorem 1.1's
+    lower bound holding; any other fault in a step propagates."""
+
+    def _probe(self, monkeypatch, error: Exception) -> bool:
+        def failing_step(scheduler, config):
+            raise error
+
+        # Theorem 1.1's unsolvable icosahedron -> cuboctahedron.
+        initial = Configuration(named_pattern("icosahedron"))
+        target = named_pattern("cuboctahedron")
+        report = formability_report(initial, Configuration(target))
+        assert not report.formable
+        monkeypatch.setattr(experiments.FsyncScheduler, "step",
+                            failing_step)
+        return experiments._check_lower_bound(
+            initial, target, report, np.random.default_rng(1))
+
+    def test_refusal_keeps_the_bound(self, monkeypatch):
+        assert self._probe(monkeypatch, EmbeddingError(
+            "gamma(P) = I is not in varrho(F): unsolvable"))
+
+    def test_other_faults_propagate(self, monkeypatch):
+        with pytest.raises(TypeError, match="step crashed"):
+            self._probe(monkeypatch, TypeError("step crashed"))

@@ -129,7 +129,7 @@ class TestProcessPool:
         bad_task = ("0" * 64, "no-such-experiment",
                     ExperimentSpec(trials=1, seed=1))
         with process_pool(2) as pool:
-            ok, value, _ = pool.submit(
+            ok, value, _, _ = pool.submit(
                 worker_task, run_cell_task, [bad_task], fresh_l1=True,
                 ship_delta=True).result(timeout=60)
         assert not ok

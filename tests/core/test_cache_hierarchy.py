@@ -1,12 +1,10 @@
-"""The L2 shared-memory and L3 on-disk levels of the cache hierarchy.
+"""The L2 worker-store and L3 on-disk levels of the cache hierarchy.
 
 The congruence (L1) caches have their own suite
 (``test_congruence_cache.py`` / ``test_round_cache.py``); this one
-covers the cross-process store, the persistent store, the uniform
+covers the pool workers' store, the persistent store, the uniform
 counter snapshot, and the CLI surface over them.
 """
-
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -16,9 +14,10 @@ from repro.core.configuration import Configuration
 from repro.groups.catalog import icosahedral_group, octahedral_group
 from repro.groups.subgroups import enumerate_concrete_subgroups
 from repro.patterns.library import named_pattern
-from repro.perf import disk
-from repro.perf.parallel import parallel_map, process_pool, worker_task
-from repro.perf.shared import SharedStore, l2_stats
+from repro.perf import disk, shared
+from repro.perf.parallel import (parallel_map, process_pool, task_values,
+                                 worker_task)
+from repro.perf.shared import l2_stats
 from repro.perf.stats import exact_digest, group_digest, hierarchy_stats
 
 
@@ -53,55 +52,12 @@ class TestExactDigest:
         del rot
 
 
-class TestSharedStore:
-    def test_get_or_compute_hits_after_publish(self):
-        store = SharedStore.create(multiprocessing.Lock())
-        try:
-            calls = []
-
-            def compute():
-                calls.append(1)
-                return {"answer": 42}
-
-            first = store.get_or_compute("unit", b"key", compute)
-            second = store.get_or_compute("unit", b"key", compute)
-            assert first == second == {"answer": 42}
-            assert len(calls) == 1
-            assert store.local["hits"] == 1
-            assert store.local["misses"] == 1
-            assert store.local["publishes"] == 1
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_full_segment_rejects_but_still_computes(self):
-        store = SharedStore.create(multiprocessing.Lock(), capacity=8192)
-        try:
-            big = np.zeros(10_000)  # pickles past the 8 KiB capacity
-            value = store.get_or_compute("unit", b"big", lambda: big)
-            assert np.array_equal(value, big)
-            assert store.local["rejected"] == 1
-            # And the key stays a miss — computed again, never corrupted.
-            again = store.get_or_compute("unit", b"big", lambda: big + 0)
-            assert np.array_equal(again, big)
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_values_roundtrip_bit_exact(self):
-        store = SharedStore.create(multiprocessing.Lock())
-        try:
-            value = (np.random.default_rng(0).normal(size=(17, 3)),
-                     "label", 3)
-            stored = store.get_or_compute("unit", b"v", lambda: value)
-            served = store.get_or_compute(
-                "unit", b"v", lambda: pytest.fail("must be served"))
-            assert np.array_equal(served[0], value[0])
-            assert served[1:] == value[1:]
-            del stored
-        finally:
-            store.close()
-            store.unlink()
+@pytest.fixture
+def worker_store(monkeypatch):
+    """This process as a pool worker: its own fresh L2 store."""
+    monkeypatch.setattr(shared, "_store", None)
+    shared.activate()
+    return shared._store
 
 
 def _detect_spec(points):
@@ -109,59 +65,88 @@ def _detect_spec(points):
     return str(config.rotation_group.spec)
 
 
-# A two-party barrier, set before the pool forks its workers.
-_PAIRS = None
+def _lookups(stats: dict) -> int:
+    return stats["hits"] + stats["misses"]
 
 
-def _detect_spec_in_pairs(points):
-    """:func:`_detect_spec`, then wait until another worker ends a task."""
-    spec = _detect_spec(points)
-    _PAIRS.wait(timeout=60)
-    return spec
+class TestWorkerStore:
+    def test_get_or_compute_hits_after_publish(self, worker_store):
+        calls = []
 
+        def compute():
+            calls.append(1)
+            return {"answer": 42}
 
-class TestL2AcrossWorkers:
-    def test_cross_worker_hits_in_a_four_worker_run(self):
-        """Identical world configurations in different workers must be
-        served from the shared store — the counters prove the sharing
-        actually happened (not just that results agree).
+        first = shared.shared_get_or_compute("unit", (b"key",), compute)
+        second = shared.shared_get_or_compute("unit", (b"key",), compute)
+        assert first == second == {"answer": 42}
+        assert len(calls) == 1
+        assert worker_store.counts["hits"] == 1
+        assert worker_store.counts["misses"] == 1
+        assert worker_store.counts["entries"] == 1
 
-        Left alone, all four workers can miss the cube before any of
-        them publishes it, and the publisher, now served by its own
-        entry, can run the other eight tasks alone.  So every task
-        ends at a two-party barrier: tasks finish in pairs of distinct
-        workers, and the publisher runs at most six of the twelve.
-        The others run at least six, at most three of them among the
-        first four, which start before anything is published; each
-        later one looks up the publisher's entry: a remote hit."""
-        global _PAIRS
+    def test_served_value_is_the_computed_object(self, worker_store):
+        """No pickling: a hit hands back the very object stored, and
+        ``bytes`` counts its arrays."""
+        value = (np.random.default_rng(0).normal(size=(17, 3)),
+                 "label", 3)
+        stored = shared.shared_get_or_compute("unit", (b"v",),
+                                              lambda: value)
+        served = shared.shared_get_or_compute(
+            "unit", (b"v",), lambda: pytest.fail("must be served"))
+        assert stored is value and served is value
+        assert worker_store.counts["bytes"] == value[0].nbytes
+
+    def test_bounded_store_evicts_and_counts(self, worker_store,
+                                             monkeypatch):
+        monkeypatch.setattr(shared, "_MAX_ENTRIES", 2)
+        for key in (b"a", b"b", b"c"):
+            shared.shared_get_or_compute("unit", (key,),
+                                         lambda: np.zeros(4))
+        counts = worker_store.counts
+        assert counts["evictions"] == 1
+        assert counts["entries"] == 2
+        assert counts["bytes"] == 2 * np.zeros(4).nbytes
+        # The least recently used key went: it is computed again.
+        calls = []
+        shared.shared_get_or_compute(
+            "unit", (b"a",), lambda: calls.append(1) or np.zeros(4))
+        assert calls == [1]
+        assert counts["misses"] == 4 and counts["evictions"] == 2
+
+    def test_one_worker_serves_repeats_from_l2(self):
+        """Four tasks with the same item, one at a time, on a one-worker
+        pool, L1 cleared before each: the first computes, the other
+        three are served by the worker's store, and the owner counts
+        all four through the tasks' outcomes."""
         before = l2_stats()
         cube = np.asarray(named_pattern("cube"))
-        _PAIRS = multiprocessing.get_context().Barrier(2)
-        try:
-            specs = parallel_map(_detect_spec_in_pairs, [cube] * 12, jobs=4)
-        finally:
-            _PAIRS = None
-        assert specs == ["O"] * 12
+        with process_pool(1) as pool:
+            specs = [task_values(pool.submit(
+                worker_task, _detect_spec, [cube], fresh_l1=True,
+                ship_delta=False).result(timeout=60), "probe")
+                for _ in range(4)]
+        assert specs == [["O"]] * 4
         after = l2_stats()
-        assert after["remote_hits"] - before["remote_hits"] > 0
-        assert after["publishes"] - before["publishes"] >= 1
+        assert after["hits"] - before["hits"] == 3
+        assert after["misses"] - before["misses"] == 1
+        assert after["bytes"] > before["bytes"]
 
-    def test_one_pool_shares_its_store_across_submissions(self):
-        """Tasks submitted one at a time to one long-lived pool (the
-        campaign and serve pattern) share its store, and the store's
-        counters fold into this process at teardown."""
+    def test_inline_paths_make_no_l2_lookup(self):
+        from repro.robots.adversary import random_frames
+        from repro.robots.algorithms.sym import is_sym_terminal, psi_sym
+        from repro.robots.scheduler import FsyncScheduler
+
         before = l2_stats()
         cube = np.asarray(named_pattern("cube"))
-        with process_pool(2) as pool:
-            outcomes = [pool.submit(worker_task, _detect_spec, [cube],
-                                    fresh_l1=True, ship_delta=False,
-                                    ).result(timeout=60)
-                        for _ in range(4)]
-        assert outcomes == [(True, ["O"], None)] * 4
-        after = l2_stats()
-        assert after["runs"] == before["runs"] + 1
-        assert after["hits"] - before["hits"] >= 3
+        assert parallel_map(_detect_spec, [cube, cube], jobs=1) \
+            == ["O", "O"]
+        points = named_pattern("icosahedron")
+        FsyncScheduler(psi_sym, random_frames(
+            len(points), np.random.default_rng(0))).run(
+                points, stop_condition=is_sym_terminal)
+        assert shared.counts() is None
+        assert _lookups(l2_stats()) == _lookups(before)
 
 
 class TestDiskCache:
@@ -302,12 +287,10 @@ class TestHierarchySnapshot:
         assert stats["round"]["evictions"] >= 1
 
     def test_l2_counters_survive_the_run(self):
-        """`accumulate_run` folds a finished pool's counters into the
-        cumulative snapshot, so `--cache-stats` sees closed stores."""
-        before = l2_stats()["runs"]
-        parallel_map(_detect_spec_noop, [1, 2, 3, 4], jobs=2)
-        assert l2_stats()["runs"] == before + 1
-
-
-def _detect_spec_noop(x):
-    return x
+        """A pooled run's workers report their L2 activity with each
+        task, so `--cache-stats` still counts it after the pool is
+        gone."""
+        before = l2_stats()
+        cube = np.asarray(named_pattern("cube"))
+        parallel_map(_detect_spec, [cube] * 4, jobs=2)
+        assert _lookups(l2_stats()) - _lookups(before) >= 4

@@ -289,165 +289,11 @@ class TestRep009SeedProvenance:
 
 
 # ---------------------------------------------------------------------------
-# REP010 — shared-resource lifecycle
+# REP010 — thread primitives on the pre-fork pool path
 # ---------------------------------------------------------------------------
 
 
 class TestRep010Lifecycle:
-    def test_unguarded_create_with_risky_calls_leaks(self, lint_tree):
-        report = lint_tree({
-            "src/repro/seg.py": """\
-                from multiprocessing import shared_memory
-
-                def fill(data: bytes):
-                    shm = shared_memory.SharedMemory(create=True,
-                                                     size=len(data))
-                    shm.buf[:len(data)] = data
-                    publish(shm.name)
-                    return shm
-
-                def publish(name: str) -> None:
-                    pass
-            """,
-        })
-        found = by_rule(report, "REP010")
-        assert len(found) == 1
-        assert "leak" in found[0].message
-
-    def test_guarded_create_is_fine(self, lint_tree):
-        report = lint_tree({
-            "src/repro/seg.py": """\
-                from multiprocessing import shared_memory
-
-                def fill(data: bytes):
-                    shm = shared_memory.SharedMemory(create=True,
-                                                     size=len(data))
-                    try:
-                        shm.buf[:len(data)] = data
-                        publish(shm.name)
-                    except BaseException:
-                        shm.close()
-                        shm.unlink()
-                        raise
-                    return shm
-
-                def publish(name: str) -> None:
-                    pass
-            """,
-        })
-        assert by_rule(report, "REP010") == []
-
-    def test_with_block_is_fine(self, lint_tree):
-        report = lint_tree({
-            "src/repro/seg.py": """\
-                from multiprocessing import shared_memory
-
-                def peek(name: str) -> bytes:
-                    with shared_memory.SharedMemory(name=name) as shm:
-                        return bytes(shm.buf[:8])
-            """,
-        })
-        assert by_rule(report, "REP010") == []
-
-    def test_attach_without_create_is_exempt(self, lint_tree):
-        report = lint_tree({
-            "src/repro/seg.py": """\
-                from multiprocessing import shared_memory
-
-                def attach(name: str):
-                    shm = shared_memory.SharedMemory(name=name)
-                    check(shm)
-                    return shm
-
-                def check(shm) -> None:
-                    pass
-            """,
-        })
-        assert by_rule(report, "REP010") == []
-
-    def test_factory_consumer_cross_module_leak(self, lint_tree):
-        # The factory wraps the segment in an object (the
-        # SharedStore.create idiom); the consumer two modules away is
-        # held to the same standard as a raw SharedMemory call.
-        report = lint_tree({
-            "src/repro/seg.py": """\
-                from multiprocessing import shared_memory
-
-                class Store:
-                    def __init__(self, shm):
-                        self._shm = shm
-
-                    def close(self) -> None:
-                        self._shm.close()
-
-                def make_store():
-                    shm = shared_memory.SharedMemory(create=True,
-                                                     size=64)
-                    try:
-                        store = Store(shm)
-                    except BaseException:
-                        shm.close()
-                        shm.unlink()
-                        raise
-                    return store
-            """,
-            "src/repro/user.py": """\
-                from repro.seg import make_store
-
-                def setup():
-                    store = make_store()
-                    warm_up(store)
-                    return store
-
-                def warm_up(store) -> None:
-                    pass
-            """,
-        })
-        found = by_rule(report, "REP010")
-        assert [v.path for v in found] == ["src/repro/user.py"]
-
-    def test_single_file_pass_cannot_see_the_factory(self, lint_tree):
-        report = lint_tree({
-            "src/repro/user.py": """\
-                from repro.seg import make_store
-
-                def setup():
-                    store = make_store()
-                    warm_up(store)
-                    return store
-
-                def warm_up(store) -> None:
-                    pass
-            """,
-        })
-        assert by_rule(report, "REP010") == []
-
-    def test_factory_consumer_with_finally_is_fine(self, lint_tree):
-        report = lint_tree({
-            "src/repro/seg.py": """\
-                from multiprocessing import shared_memory
-
-                def make_store():
-                    return shared_memory.SharedMemory(create=True,
-                                                      size=64)
-            """,
-            "src/repro/user.py": """\
-                from repro.seg import make_store
-
-                def use() -> int:
-                    store = make_store()
-                    try:
-                        return work(store)
-                    finally:
-                        store.close()
-                        store.unlink()
-
-                def work(store) -> int:
-                    return 0
-            """,
-        })
-        assert by_rule(report, "REP010") == []
-
     def test_thread_primitive_on_prefork_pool_path(self, lint_tree):
         # The pool module is found by what it constructs, not by its
         # name: a lock reachable from pool creation is flagged two

@@ -83,49 +83,6 @@ class TestSummaries:
         """)
         assert summary.class_fields["Spec"] == ("trials", "seed")
 
-    def test_return_call_refs_track_create_kwarg(self):
-        summary = summarize("src/repro/m.py", """\
-            from multiprocessing import shared_memory
-
-            def make():
-                shm = shared_memory.SharedMemory(create=True, size=8)
-                return shm
-
-            def attach(name):
-                return shared_memory.SharedMemory(name=name)
-        """)
-        assert summary.functions["make"].return_call_refs == \
-            (("shared_memory.SharedMemory", True),)
-        assert summary.functions["attach"].return_call_refs == \
-            (("shared_memory.SharedMemory", False),)
-
-    def test_resource_events_and_constants(self):
-        summary = summarize("src/repro/m.py", """\
-            import os
-            from multiprocessing import shared_memory
-
-            LIMIT = 3
-
-            class Box:
-                size: int
-
-                def __init__(self, shm):
-                    self._shm = shm
-
-                @classmethod
-                def make(cls):
-                    shm = shared_memory.SharedMemory(create=True,
-                                                     size=8)
-                    box = cls(shm)
-                    return box
-
-            def use(paths):
-                for p in sorted(paths):
-                    yield os.fspath(p)
-        """)
-        assert summary.functions["Box.make"].resources
-        assert summary.constants == {"LIMIT": 3}
-
 
 class TestProjectResolution:
     def project(self):

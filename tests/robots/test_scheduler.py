@@ -202,6 +202,17 @@ class TestOneConfigurationPerRound:
         _assert_one_ball_per_round(ball_counts,
                                    [initial.as_array()] + rounds)
 
+    def test_form_pattern_reuses_its_initial_configuration(
+            self, ball_counts, cube, octagon):
+        # form_pattern builds P(0) for the formability check; the run
+        # takes that object as its first round.
+        from repro import form_pattern
+
+        result = form_pattern(cube, octagon, seed=5)
+        assert result.reached and result.rounds >= 2
+        assert ball_counts[_bytes_key(cube)] == 1
+        _assert_one_ball_per_round(ball_counts, result.positions)
+
 
 class TestTraceKeepsPositions:
     def test_earlier_rounds_are_collectable(self, cube, octagon):
