@@ -275,7 +275,12 @@ def _theorem11_rows(seed: int = 0,
 def _run_formation(initial, f_points, frames,
                    max_rounds: int = 30) -> tuple[bool, int]:
     """``ψ_PF`` from ``initial`` (points, or the built ``P(0)``) to
-    ``F``: whether it formed, and in how many rounds."""
+    ``F``: whether it formed, and in how many rounds.
+
+    ψ_PF refusing a round (:class:`EmbeddingError`) reads as not
+    formed, ``(False, -1)``; any other exception is a fault and
+    propagates.
+    """
     algorithm = make_pattern_formation_algorithm(f_points)
     scheduler = FsyncScheduler(algorithm, frames, target=f_points)
     try:
@@ -283,9 +288,9 @@ def _run_formation(initial, f_points, frames,
             initial,
             stop_condition=lambda c: c.is_similar_to(f_points),
             max_rounds=max_rounds)
-        return result.reached, result.rounds
-    except Exception:
+    except EmbeddingError:
         return False, -1
+    return result.reached, result.rounds
 
 
 def _check_lower_bound(initial: Configuration, f_points, report,

@@ -39,8 +39,11 @@ __all__ = [
 
 #: Version of the store's record layout.  Version 2: cell digests no
 #: longer cover an array-backend name, so a version-1 store is refused
-#: instead of resumed into a second copy of every cell.
-STORE_SCHEMA_VERSION = 2
+#: instead of resumed into a second copy of every cell.  Version 3: a
+#: record's manifest keeps only the cache enablement, not the L1 bound
+#: or the L3 store's state, so an older store is refused rather than
+#: resumed with two manifest shapes under equal digests.
+STORE_SCHEMA_VERSION = 3
 
 _ENV_DIR = "REPRO_CAMPAIGN_DIR"
 _DEFAULT_DIR = ".repro-campaign"

@@ -21,6 +21,18 @@ from repro.geometry.tolerance import DEFAULT_TOL, Tolerance
 __all__ = ["Face", "ConvexPolyhedron"]
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two ``(f, 3)`` arrays, each the BLAS
+    product ``np.dot`` takes for one pair of vectors."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row norms of an ``(f, 3)`` array as ``np.linalg.norm`` takes one
+    vector's: the square root of its dot product with itself."""
+    return np.sqrt(_dots(a, a))
+
+
 @dataclass(frozen=True)
 class Face:
     """A (merged, planar) face of a convex polyhedron.
@@ -72,6 +84,7 @@ class ConvexPolyhedron:
         normal and offset within the slack, or starts a new face.  So
         each face's first simplex is the first one no earlier face
         claimed, and faces come in the order of their first simplices.
+        The faces of each size are then ordered in one stacked pass.
         """
         scale = float(np.abs(self.vertices).max())
         slack = 1e3 * self._tol.abs_tol * max(1.0, scale)
@@ -85,41 +98,55 @@ class ConvexPolyhedron:
         close = np.linalg.norm(normals[:, None] - normals[None], axis=2) \
             <= slack
         close &= np.abs(offsets[:, None] - offsets[None]) <= slack
-        simplices = hull.simplices.tolist()
         unclaimed = np.ones(len(offsets), dtype=bool)
-        faces = []
+        firsts = []
+        vertex_sets = []
         for first in range(len(offsets)):
             if not unclaimed[first]:
                 continue
             members = np.flatnonzero(unclaimed & close[first])
             unclaimed[members] = False
-            vertices = sorted({i for j in members for i in simplices[j]})
-            normal = normals[first]
-            ordered = self._cyclic_order(vertices, normal)
-            faces.append(Face(
-                vertex_indices=tuple(ordered),
-                normal=normal / np.linalg.norm(normal),
-                center=self.vertices[ordered].mean(axis=0),
-            ))
-        return faces
+            firsts.append(first)
+            vertex_sets.append(np.unique(hull.simplices[members]))
+        faces: dict[int, Face] = {}
+        for size in sorted({len(v) for v in vertex_sets}):
+            slots = [i for i, v in enumerate(vertex_sets) if len(v) == size]
+            ordered, units, centers = self._cyclic_orders(
+                np.array([vertex_sets[i] for i in slots]),
+                normals[[firsts[i] for i in slots]])
+            for slot, indices, unit, center in zip(
+                    slots, ordered.tolist(), units, centers):
+                faces[slot] = Face(vertex_indices=tuple(indices),
+                                   normal=unit, center=center)
+        return [faces[slot] for slot in range(len(firsts))]
 
-    def _cyclic_order(self, indices: list[int], normal) -> list[int]:
-        """Order face vertices counter-clockwise about the normal."""
+    def _cyclic_orders(self, indices: np.ndarray, normals: np.ndarray):
+        """Order the vertices of ``(f, k)`` faces of one size ``k``
+        counter-clockwise about their ``(f, 3)`` normals.
+
+        Returns the reordered indices, the unit normals and the centres
+        of the reordered vertices.  Each face gets the per-face float
+        expressions bit for bit: the dot products and norms go through
+        the same BLAS products as ``np.dot`` and ``np.linalg.norm`` on
+        one vector.  That matters for a square face, whose opposite
+        vertex sits at ±π: the sign of the last bit of its angle picks
+        where the vertex tuple starts.
+        """
         pts = self.vertices[indices]
-        center = pts.mean(axis=0)
-        n = np.asarray(normal, dtype=float)
-        n = n / np.linalg.norm(n)
-        rel0 = pts[0] - center
-        u = rel0 - float(np.dot(rel0, n)) * n
-        u = u / np.linalg.norm(u)
-        # n × u written out: np.cross computes the same products and
-        # differences, at many times the call overhead.
-        v = np.array([n[1] * u[2] - n[2] * u[1],
-                      n[2] * u[0] - n[0] * u[2],
-                      n[0] * u[1] - n[1] * u[0]])
-        angles = np.arctan2((pts - center) @ v, (pts - center) @ u)
-        order = np.argsort(angles)
-        return [indices[i] for i in order]
+        center = pts.mean(axis=1)
+        n = normals / _norms(normals)[:, None]
+        rel = pts - center[:, None]
+        u = rel[:, 0] - _dots(rel[:, 0], n)[:, None] * n
+        u = u / _norms(u)[:, None]
+        # n × u written out, as np.cross computes it.
+        v = np.stack([n[:, 1] * u[:, 2] - n[:, 2] * u[:, 1],
+                      n[:, 2] * u[:, 0] - n[:, 0] * u[:, 2],
+                      n[:, 0] * u[:, 1] - n[:, 1] * u[:, 0]], axis=1)
+        angles = np.arctan2((rel @ v[:, :, None])[:, :, 0],
+                            (rel @ u[:, :, None])[:, :, 0])
+        ordered = np.take_along_axis(indices, np.argsort(angles, axis=1),
+                                     axis=1)
+        return ordered, n, self.vertices[ordered].mean(axis=1)
 
     def faces_of_vertex(self, vertex_index: int) -> list[Face]:
         """Faces incident to a given vertex (the 'adjacent faces')."""

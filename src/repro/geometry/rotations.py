@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.tolerance import DEFAULT_TOL, Tolerance
+from repro.geometry.tolerance import ALLCLOSE_RTOL, DEFAULT_TOL, Tolerance
 from repro.geometry.vectors import normalize
 
 __all__ = [
@@ -23,10 +23,15 @@ __all__ = [
     "rotation_aligning",
     "kabsch",
     "random_rotation",
+    "haar_rotations",
     "rotation_order",
 ]
 
 _MAX_ORDER_SEARCH = 400
+
+_EYE3 = np.eye(3)
+# The relative half of np.allclose's bound ``atol + rtol * |I|``.
+_RTOL_EYE3 = ALLCLOSE_RTOL * _EYE3
 
 
 def identity_rotation() -> np.ndarray:
@@ -56,7 +61,11 @@ def is_rotation_matrix(mat, tol: Tolerance = DEFAULT_TOL) -> bool:
     arr = np.asarray(mat, dtype=float)
     if arr.shape != (3, 3):
         return False
-    if not np.allclose(arr @ arr.T, np.eye(3), atol=10 * tol.abs_tol):
+    # np.allclose(arr @ arr.T, I, atol=10 * tol.abs_tol) written out:
+    # the same test |A Aᵀ - I| <= atol + rtol |I| (NaN and inf fail
+    # it), without the call's overhead.
+    residual = np.abs(arr @ arr.T - _EYE3)
+    if not (residual <= 10 * tol.abs_tol + _RTOL_EYE3).all():
         return False
     return tol.close(float(np.linalg.det(arr)), 1.0)
 
@@ -146,11 +155,25 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 
     Uses the QR decomposition of a Gaussian matrix with sign fixing.
     """
-    gauss = rng.normal(size=(3, 3))
+    return haar_rotations(rng.normal(size=(1, 3, 3)))[0]
+
+
+def haar_rotations(gauss: np.ndarray) -> np.ndarray:
+    """The rotations :func:`random_rotation` makes from a ``(k, 3, 3)``
+    stack of Gaussian matrices, in one stacked pass.
+
+    ``Q`` of each matrix's QR decomposition, its columns signed by
+    ``R``'s diagonal, with the first column negated where the
+    determinant is negative.  NumPy factors and multiplies a stack one
+    matrix at a time with the same routines, so row ``i`` is bit for
+    bit the rotation that matrix ``i`` alone would give.
+    """
     q, r = np.linalg.qr(gauss)
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+    signs = np.zeros_like(q)
+    signs[:, [0, 1, 2], [0, 1, 2]] = np.sign(np.diagonal(r, axis1=1,
+                                                         axis2=2))
+    q = q @ signs
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
     return q
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "CIRCUMSPHERE_DENOM_FLOOR",
     "ANGLE_WRAP_EPS",
     "COPLANAR_DET_FLOOR",
+    "ALLCLOSE_RTOL",
     "isclose",
     "iszero",
     "canonical_round",
@@ -64,6 +65,12 @@ CIRCUMSPHERE_DENOM_FLOOR = 1e-18
 #: (cubic in edge lengths): below it the four points are treated as
 #: coplanar and the circumsphere falls back to triangle balls.
 COPLANAR_DET_FLOOR = 1e-15
+
+#: ``numpy.allclose``'s default relative tolerance.  The orthogonality
+#: test of :func:`repro.geometry.rotations.is_rotation_matrix` is
+#: ``np.allclose(R Rᵀ, I, atol=10 * abs_tol)`` written out, and keeps
+#: its relative term so its verdicts stay the same.
+ALLCLOSE_RTOL = 1e-5
 
 
 @dataclass(frozen=True)

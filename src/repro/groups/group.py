@@ -9,7 +9,7 @@ abstract :class:`GroupSpec` (its type in the paper's family
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import total_ordering
 
 import numpy as np
@@ -19,7 +19,8 @@ from repro.geometry.rotations import rotation_angle, rotation_axis
 from repro.geometry.tolerance import DEFAULT_TOL, Tolerance, canonical_round
 from repro.groups.axes import RotationAxis, axis_line_key
 
-__all__ = ["GroupKind", "GroupSpec", "RotationGroup", "element_key"]
+__all__ = ["GroupKind", "GroupSpec", "RotationGroup", "element_key",
+           "spec_from_folds", "structurally_oriented"]
 
 
 class GroupKind(enum.Enum):
@@ -171,6 +172,64 @@ def batch_axis_line_keys(stack: np.ndarray, angles: np.ndarray,
     return nonid, directions, keys
 
 
+def spec_from_folds(order: int, folds) -> GroupSpec:
+    """The type of a rotation group of ``order`` elements whose axes
+    have the given folds.
+
+    The one classification rule: :func:`repro.groups.subgroups.
+    classify_elements`, :class:`RotationGroup` and the subgroup lattice
+    all read the type off the fold histogram this way.
+
+    Raises
+    ------
+    GroupError
+        If order and folds fit none of the five families (the elements
+        were not a rotation group to begin with).
+    """
+    if order == 1:
+        return GroupSpec(GroupKind.CYCLIC, 1)
+    folds = sorted(folds, reverse=True)
+    if len(folds) == 1:
+        if order != folds[0]:
+            raise GroupError("inconsistent cyclic group data")
+        return GroupSpec(GroupKind.CYCLIC, order)
+    fold_histogram: dict[int, int] = {}
+    for f in folds:
+        fold_histogram[f] = fold_histogram.get(f, 0) + 1
+    if fold_histogram == {3: 4, 2: 3} and order == 12:
+        return GroupSpec(GroupKind.TETRAHEDRAL)
+    if fold_histogram == {4: 3, 3: 4, 2: 6} and order == 24:
+        return GroupSpec(GroupKind.OCTAHEDRAL)
+    if fold_histogram == {5: 6, 3: 10, 2: 15} and order == 60:
+        return GroupSpec(GroupKind.ICOSAHEDRAL)
+    # Dihedral: one l-fold principal plus l perpendicular 2-fold axes.
+    if fold_histogram == {2: 3} and order == 4:
+        return GroupSpec(GroupKind.DIHEDRAL, 2)
+    top = folds[0] if folds else 0
+    if (order == 2 * top and fold_histogram.get(top) == 1
+            and fold_histogram.get(2, 0) >= top):
+        return GroupSpec(GroupKind.DIHEDRAL, top)
+    raise GroupError(
+        f"element set (order {order}, folds {fold_histogram}) is not one "
+        "of the five finite rotation-group families")
+
+
+def structurally_oriented(spec: GroupSpec, fold: int) -> bool:
+    """Whether a ``fold``-fold axis of a ``spec`` group is oriented
+    (Section 3.1).
+
+    The single axis of ``C_k`` is oriented; the secondary axes of
+    ``D_l`` are oriented iff ``l`` is odd; the 3-fold axes of ``T`` are
+    oriented; all axes of ``O`` and ``I`` (and the principal axes of
+    dihedral groups) are not.
+    """
+    if spec.kind is GroupKind.CYCLIC:
+        return spec.param >= 2
+    if spec.kind is GroupKind.DIHEDRAL:
+        return spec.param % 2 == 1 and fold == 2
+    return spec.kind is GroupKind.TETRAHEDRAL and fold == 3
+
+
 class RotationGroup:
     """A finite subgroup of SO(3) fixing the origin.
 
@@ -180,8 +239,8 @@ class RotationGroup:
         Iterable of 3x3 rotation matrices, including the identity.
         Duplicates (within tolerance) are merged.
     spec:
-        Optional pre-computed :class:`GroupSpec`; classified from the
-        elements if omitted (see ``repro.groups.subgroups``).
+        Optional pre-computed :class:`GroupSpec`; read off the folds of
+        the element axes if omitted (:func:`spec_from_folds`).
     axes:
         Optional pre-computed axes; derived from elements if omitted.
     """
@@ -229,9 +288,8 @@ class RotationGroup:
         self.axes: list[RotationAxis] = (
             axes if axes is not None else self._derive_axes())
         if spec is None:
-            from repro.groups.subgroups import classify_elements
-
-            spec = classify_elements(self.elements, tol)
+            derived = self.axes if axes is None else self._derive_axes()
+            spec = spec_from_folds(len(mats), [a.fold for a in derived])
         self.spec = spec
         if axes is None:
             self._apply_structural_orientation()
@@ -281,28 +339,12 @@ class RotationGroup:
     def _apply_structural_orientation(self) -> None:
         """Set the ``oriented`` flag on axes per Section 3.1.
 
-        The single axis of ``C_k`` is oriented; the secondary axes of
-        ``D_l`` are oriented iff ``l`` is odd; the 3-fold axes of ``T``
-        are oriented; all axes of ``O`` and ``I`` (and the principal
-        axes of dihedral groups) are not.  Only the *flag* is
-        structural — a concrete preferred direction can only come from
-        a point set and is computed in :mod:`repro.core`.
+        Only the *flag* is structural (:func:`structurally_oriented`)
+        — a concrete preferred direction can only come from a point set
+        and is computed in :mod:`repro.core`.
         """
-        import dataclasses
-
-        spec = self.spec
-        new_axes = []
-        for axis in self.axes:
-            oriented = False
-            if spec.kind is GroupKind.CYCLIC and spec.param >= 2:
-                oriented = True
-            elif (spec.kind is GroupKind.DIHEDRAL and spec.param % 2 == 1
-                  and axis.fold == 2):
-                oriented = True
-            elif spec.kind is GroupKind.TETRAHEDRAL and axis.fold == 3:
-                oriented = True
-            new_axes.append(dataclasses.replace(axis, oriented=oriented))
-        self.axes = new_axes
+        self.axes = [replace(axis, oriented=structurally_oriented(
+            self.spec, axis.fold)) for axis in self.axes]
 
     @property
     def principal_axis(self) -> RotationAxis | None:

@@ -10,6 +10,13 @@ The abstract subgroup lattice (Figure 4 of the paper) is::
     subgroups of O:  C1 C2 C3 C4 D2 D3 D4 T O
     subgroups of I:  C1 C2 C3 C5 D2 D3 D5 T I
     T ⪯ O,  T ⪯ I,  O ⋠ I
+
+The concrete subgroups of an arrangement (Definition 5 needs every
+one of them) come from the known structure for ``C_k`` and ``D_l``
+(``l >= 3``).  For ``T``, ``O``, ``I`` and ``D_2`` they come from the
+integer Cayley table: every finite rotation group is generated by two
+elements, so the lattice is the cyclic subgroups plus the joins of
+pairs of them, each closed on a bitmask over the element indices.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 from repro.errors import GroupError
 from repro.geometry.rotations import rotation_about_axis
 from repro.geometry.tolerance import DEFAULT_TOL, Tolerance
+from repro.groups.axes import RotationAxis, axis_line_key
 from repro.groups.group import (
     GroupKind,
     GroupSpec,
@@ -28,6 +36,8 @@ from repro.groups.group import (
     batch_axis_line_keys,
     batch_rotation_angles,
     element_key,
+    spec_from_folds,
+    structurally_oriented,
 )
 
 __all__ = [
@@ -61,38 +71,15 @@ def classify_elements(elements, tol: Tolerance = DEFAULT_TOL) -> GroupSpec:
     """
     stack = np.asarray([np.asarray(m, dtype=float) for m in elements],
                        dtype=float).reshape(-1, 3, 3)
-    order = len(stack)
-    if order == 1:
-        return GroupSpec(GroupKind.CYCLIC, 1)
+    if len(stack) == 1:
+        return spec_from_folds(1, [])
     angles = batch_rotation_angles(stack)
     _, _, keys = batch_axis_line_keys(stack, angles, tol)
     lines: dict[tuple, int] = {}
     for key in keys:
         lines[key] = lines.get(key, 0) + 1
-    folds = sorted((count + 1 for count in lines.values()), reverse=True)
-    if len(lines) == 1:
-        if order != folds[0]:
-            raise GroupError("inconsistent cyclic group data")
-        return GroupSpec(GroupKind.CYCLIC, order)
-    fold_histogram: dict[int, int] = {}
-    for f in folds:
-        fold_histogram[f] = fold_histogram.get(f, 0) + 1
-    if fold_histogram == {3: 4, 2: 3} and order == 12:
-        return GroupSpec(GroupKind.TETRAHEDRAL)
-    if fold_histogram == {4: 3, 3: 4, 2: 6} and order == 24:
-        return GroupSpec(GroupKind.OCTAHEDRAL)
-    if fold_histogram == {5: 6, 3: 10, 2: 15} and order == 60:
-        return GroupSpec(GroupKind.ICOSAHEDRAL)
-    # Dihedral: one l-fold principal plus l perpendicular 2-fold axes.
-    if fold_histogram == {2: 3} and order == 4:
-        return GroupSpec(GroupKind.DIHEDRAL, 2)
-    top = folds[0]
-    if (order == 2 * top and fold_histogram.get(top) == 1
-            and fold_histogram.get(2, 0) >= top):
-        return GroupSpec(GroupKind.DIHEDRAL, top)
-    raise GroupError(
-        f"element set (order {order}, folds {fold_histogram}) is not one "
-        "of the five finite rotation-group families")
+    return spec_from_folds(len(stack),
+                           [count + 1 for count in lines.values()])
 
 
 def is_abstract_subgroup(g: GroupSpec, h: GroupSpec) -> bool:
@@ -146,9 +133,11 @@ def enumerate_concrete_subgroups(group: RotationGroup,
     """All concrete subgroups of ``group`` (as element subsets).
 
     Cyclic and dihedral groups use their known structure (so large
-    parameters stay cheap); polyhedral groups use generic closure of
-    pairwise joins, which is fast at orders ≤ 60.  Results are
-    memoized per exact arrangement via :mod:`repro.perf`.
+    parameters stay cheap).  ``T``, ``O``, ``I`` and ``D_2`` join pairs
+    of cyclic subgroups on bitmasks over the Cayley table, and list
+    the subgroups by order, then by bitmask over the parent's element
+    indices, each with its elements in the parent's order.  Results
+    are memoized per exact arrangement via :mod:`repro.perf`.
     """
     from repro.perf import cached_subgroups
 
@@ -237,91 +226,119 @@ def _parallel(a, b) -> bool:
 
 def _generic_subgroups(group: RotationGroup,
                        tol: Tolerance) -> list[RotationGroup]:
-    """Subgroup enumeration via an integer Cayley table.
+    """The subgroup lattice of a ``T``, ``O``, ``I`` or ``D_2``
+    arrangement, on integer bitmasks over its Cayley table.
 
-    Elements are mapped to indices once; all closures then run on
-    integer sets, which keeps the order-60 icosahedral group cheap.
+    Every finite rotation group is generated by two elements, so the
+    subgroups are the cyclic subgroups ``<a>`` and the joins ``<a, b>``
+    of pairs of them.  A join is closed from the identity by
+    right-multiplying with ``a`` and ``b``, and abandoned once it
+    outgrows the largest proper subgroup type of ``group.spec``: by
+    Lagrange it is then the whole group.  Each subgroup's
+    :class:`RotationGroup` takes its axes and type from the parent's
+    per-element axis lines, derived once.
+
+    Subgroups come sorted by order, then by their bitmask over the
+    parent's element indices; each one's elements keep the parent's
+    index order.
     """
-    elements = group.elements
-    order = len(elements)
-    stack = np.stack(elements)
-    index_of = {element_key(m): i for i, m in enumerate(elements)}
-    # All pairwise products at once: products[i, j] = E_i @ E_j.
-    products = np.einsum("aij,bjk->abik", stack, stack)
-    keys = np.round(products.reshape(order * order, 9), 5) + 0.0
-    table = np.empty(order * order, dtype=np.int64)
-    for flat, row in enumerate(keys):
-        key = tuple(row.tolist())
-        if key not in index_of:
-            raise GroupError("element set is not closed under products")
-        table[flat] = index_of[key]
-    rows = table.reshape(order, order).tolist()
-    identity = index_of[element_key(np.eye(3))]
-    full = frozenset(range(order))
-    divisors = [d for d in range(1, order + 1) if order % d == 0]
-
-    def _forced_full(size: int) -> bool:
-        # Lagrange: the closure's order divides ``order`` and is at
-        # least ``size``; if the only such divisor is ``order`` itself
-        # the closure must be the whole group.
-        return next(d for d in divisors if d >= size) == order
-
-    def close(seed) -> frozenset:
-        # Plain-set closure: at order <= 60 the sets are tiny, so
-        # Python-level products beat array indexing by a wide margin.
-        current = set(seed)
-        current.add(identity)
-        if _forced_full(len(current)):
-            return full
-        frontier = list(current)
-        while frontier:
-            fresh = []
-            members = list(current)
-            for i in frontier:
-                row = rows[i]
-                for j in members:
-                    k = row[j]
-                    if k not in current:
-                        current.add(k)
-                        fresh.append(k)
-                    k = rows[j][i]
-                    if k not in current:
-                        current.add(k)
-                        fresh.append(k)
-            if fresh and _forced_full(len(current)):
-                return full
-            frontier = fresh
-        return frozenset(current)
-
-    def powers(i: int) -> frozenset:
-        # <E_i> directly via the Cayley table.
-        current = {identity}
+    order = group.order
+    rows, identity = _cayley_table(group._stack)
+    cyclic: dict[int, int] = {}
+    for i in range(order):
+        mask = 1 << identity
         j = i
-        while j not in current:
-            current.add(j)
+        while not mask >> j & 1:
+            mask |= 1 << j
             j = rows[j][i]
-        return frozenset(current)
+        cyclic.setdefault(mask, i)
+    bound = max(spec.order for spec in proper_abstract_subgroups(group.spec))
+    full = (1 << order) - 1
+    masks = set(cyclic)
+    masks.add(full)
+    for (mask_a, a), (mask_b, b) in itertools.combinations(cyclic.items(), 2):
+        if mask_a & mask_b not in (mask_a, mask_b):
+            masks.add(_join(rows, identity, a, b, bound) or full)
+    axis_lines = _AxisLines(group, tol)
+    return [axis_lines.subgroup(mask)
+            for mask in sorted(masks, key=lambda m: (m.bit_count(), m))]
 
-    subgroups: set[frozenset] = {frozenset([identity])}
-    subgroups.update(powers(i) for i in range(order))
-    join_cache: dict[frozenset, frozenset] = {}
-    changed = True
-    while changed:
-        changed = False
-        current = list(subgroups)
-        for sub_a, sub_b in itertools.combinations(current, 2):
-            if sub_a <= sub_b or sub_b <= sub_a:
-                continue
-            union = sub_a | sub_b
-            joined = join_cache.get(union)
-            if joined is None:
-                joined = close(union)
-                join_cache[union] = joined
-            if joined not in subgroups:
-                subgroups.add(joined)
-                changed = True
-    return [RotationGroup([elements[i] for i in sub], tol=tol)
-            for sub in subgroups]
+
+def _cayley_table(stack: np.ndarray) -> tuple[list[list[int]], int]:
+    """The Cayley table, ``rows[i][j]`` being the index of
+    ``E_i @ E_j``, and the index of the identity."""
+    order = len(stack)
+    index_of = {key: i for i, key in enumerate(_row_keys(stack))}
+    identity = index_of.get(_row_keys(np.eye(3)[None])[0])
+    if identity is None:
+        raise GroupError("element set has no identity")
+    products = np.einsum("aij,bjk->abik", stack, stack)
+    table = [index_of.get(key, -1)
+             for key in _row_keys(products.reshape(order * order, 3, 3))]
+    if -1 in table:
+        raise GroupError("element set is not closed under products")
+    return [table[i * order:(i + 1) * order] for i in range(order)], identity
+
+
+def _row_keys(stack: np.ndarray) -> list[bytes]:
+    """Each matrix's :func:`element_key` as bytes: entries rounded to
+    5 decimals with ``-0.0`` folded into ``0.0``, so equal keys have
+    equal bytes."""
+    rounded = np.round(stack.reshape(len(stack), 9), 5) + 0.0
+    row = np.dtype((np.void, 9 * rounded.itemsize))
+    return rounded.view(row).ravel().tolist()
+
+
+def _join(rows: list[list[int]], identity: int, a: int, b: int,
+          bound: int) -> int | None:
+    """Bitmask of ``<E_a, E_b>``, or None once it exceeds ``bound``."""
+    members = [identity]
+    mask = 1 << identity
+    for x in members:
+        row = rows[x]
+        for y in (row[a], row[b]):
+            if not mask >> y & 1:
+                if len(members) == bound:
+                    return None
+                mask |= 1 << y
+                members.append(y)
+    return mask
+
+
+class _AxisLines:
+    """The per-element axis lines of one arrangement, derived once for
+    the whole parent: each non-identity element's line key, axis
+    direction, and the ``line_key()`` an axis along that direction
+    reports (the sort key of a group's axes).  :meth:`subgroup` makes
+    any subgroup's :class:`RotationGroup` from them."""
+
+    def __init__(self, group: RotationGroup, tol: Tolerance) -> None:
+        self._group = group
+        self._tol = tol
+        stack = group._stack
+        angles = batch_rotation_angles(stack)
+        nonid, directions, keys = batch_axis_line_keys(stack, angles, tol)
+        self._line = {int(i): (key, direction, axis_line_key(direction))
+                      for i, key, direction in zip(nonid, keys, directions)}
+
+    def subgroup(self, mask: int) -> RotationGroup:
+        members = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        # Per line: its first member (whose direction the axis takes,
+        # as RotationGroup's own derivation does) and its rotation count.
+        lines: dict[tuple, list] = {}
+        for i in members:
+            line = self._line.get(i)
+            if line is not None:
+                lines.setdefault(line[0], [i, 0])[1] += 1
+        spec = spec_from_folds(len(members),
+                               [count + 1 for _, count in lines.values()])
+        firsts = sorted(lines.values(),
+                        key=lambda e: (-e[1], self._line[e[0]][2]))
+        axes = [RotationAxis(direction=self._line[first][1], fold=count + 1,
+                             oriented=structurally_oriented(spec, count + 1))
+                for first, count in firsts]
+        return RotationGroup([self._group.elements[i] for i in members],
+                             spec=spec, axes=axes, tol=self._tol)
 
 
 def _dedupe(groups: list[RotationGroup]) -> list[RotationGroup]:

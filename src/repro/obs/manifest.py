@@ -4,11 +4,12 @@ A manifest is the audit record for one experiment run: the seed and
 its ``SeedSequence`` spawn-tree shape, the cache configuration, the
 package and schema versions, a digest of the rows actually produced,
 the run's logical metric counters, and per-phase wall-time summaries.
-Everything except the ``timing`` section is a pure function of
-``(experiment, spec)`` — :func:`deterministic_view` strips the
-wall-clock section (and machine-local artifact paths), and
-``tests/obs`` pins that the view is identical across ``--jobs``
-values and repeat runs.
+:func:`deterministic_view` keeps what is a pure function of
+``(experiment, spec)``: it strips the wall-clock section, the
+machine-local artifact paths and the cache configuration the spec does
+not set (the L1 bound and the L3 store's state), and ``tests/obs``
+pins that the view is identical across ``--jobs`` values and repeat
+runs.
 
 Wall-clock data appears *only* here and in traces, never in rows
 (REP005); the timing values come from the tracer, which reads the
@@ -116,13 +117,18 @@ _jsonable_rows = jsonable_rows
 
 
 def deterministic_view(manifest: dict) -> dict:
-    """The manifest minus wall-clock timing and machine-local paths.
+    """The manifest minus what the spec does not set: wall-clock
+    timing, machine-local paths, and of the cache configuration all but
+    the enablement switch.
 
     Two runs of the same ``(experiment, spec)`` — at any ``--jobs``
-    value — must agree on this view byte-for-byte.
+    value, with the L3 store on or off — must agree on this view
+    byte-for-byte.
     """
-    return {key: value for key, value in manifest.items()
+    view = {key: value for key, value in manifest.items()
             if key not in ("timing", "artifacts")}
+    view["cache"] = {"enabled": manifest["cache"]["enabled"]}
+    return view
 
 
 def write_manifest(path, manifest: dict) -> None:

@@ -15,8 +15,10 @@ Three caches, all invalidated together by :func:`clear_caches`:
 * **symmetricity** — ``ϱ(P)`` results attached to symmetry entries.
   Specs are congruence invariants and are shared; witness arrangements
   are stored in the canonical frame and conjugated per query.
-* **subgroups** — concrete subgroup enumerations keyed by the exact
-  element-key set of the group arrangement.
+* **subgroups** — concrete subgroup lattices (in the order
+  :func:`repro.groups.subgroups.enumerate_concrete_subgroups`
+  documents) keyed by the exact element-key set of the group
+  arrangement.
 
 Keys contain only exact integers (plus the tolerance parameters);
 continuous data is compared tolerantly per entry.  See
@@ -288,7 +290,10 @@ def _subgroups_via_l3(group, tol: Tolerance, compute) -> list:
     from repro.perf import disk as _disk
     from repro.perf.stats import exact_digest
 
-    key = exact_digest(b"lattice", catalog_key, group._stack, _tol_key(tol))
+    # The tag names the lattice's order (by subgroup order, then
+    # element mask); entries written in any earlier order are never read.
+    key = exact_digest(b"lattice-by-mask", catalog_key, group._stack,
+                       _tol_key(tol))
     cached = _disk.disk_get_object("lattice", key)
     if cached is not None:
         return cached
@@ -307,7 +312,9 @@ def cached_subgroups(group, tol: Tolerance, compute) -> list:
 
     Misses walk down the hierarchy: the L2 store under the exact
     element/axis bytes, then (for catalog groups) the L3 disk store,
-    then the actual enumeration.
+    then the enumeration itself: one bitmask pass over the Cayley
+    table for ``T``, ``O``, ``I`` and ``D_2``, the known structure for
+    cyclic and dihedral groups.
     """
     if not _enabled:
         return compute(group, tol)

@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.core.decomposition import orbit_decomposition
 from repro.errors import SimulationError
+from repro.geometry.rotations import haar_rotations
 from repro.geometry.tolerance import DEFAULT_TOL
 from repro.groups.group import RotationGroup
 from repro.robots.model import LocalFrame
@@ -29,8 +30,21 @@ def identity_frames(n: int) -> list[LocalFrame]:
 def random_frames(n: int, rng: np.random.Generator,
                   scale_range: tuple[float, float] = (0.25, 4.0)
                   ) -> list[LocalFrame]:
-    """Independent uniformly-random frames — the 'generic' adversary."""
-    return [LocalFrame.random(rng, scale_range) for _ in range(n)]
+    """Independent uniformly-random frames — the 'generic' adversary.
+
+    The same frames, bit for bit, as ``[LocalFrame.random(rng,
+    scale_range) for _ in range(n)]``: the draws keep their order (per
+    robot one ``rng.uniform``, then one ``rng.normal(size=(3, 3))``),
+    and the QR step runs once over the stacked Gaussian matrices.
+    """
+    log_low, log_high = np.log(scale_range[0]), np.log(scale_range[1])
+    scales = []
+    gauss = np.empty((n, 3, 3))
+    for i in range(n):
+        scales.append(float(np.exp(rng.uniform(log_low, log_high))))
+        gauss[i] = rng.normal(size=(3, 3))
+    return [LocalFrame(rotation=rotation, scale=scale)
+            for rotation, scale in zip(haar_rotations(gauss), scales)]
 
 
 def symmetric_frames(config: Configuration, witness: RotationGroup,

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.configuration import Configuration
 from repro.core.formability import formability_report
 from repro.core.symmetricity import symmetricity_of_multiset
-from repro.errors import UnsolvableError
+from repro.errors import ConfigurationError, UnsolvableError
 from repro.robots.algorithms.pattern_formation import (
     make_pattern_formation_algorithm,
 )
@@ -92,7 +92,7 @@ def make_sequence_formation_algorithm(
         for i, pattern in enumerate(configs):
             try:
                 report = formability_report(current, pattern)
-            except Exception:
+            except ConfigurationError:
                 continue
             if report.formable:
                 return formers[i](observation)

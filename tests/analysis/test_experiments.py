@@ -87,3 +87,29 @@ class TestLowerBoundProbe:
     def test_other_faults_propagate(self, monkeypatch):
         with pytest.raises(TypeError, match="step crashed"):
             self._probe(monkeypatch, TypeError("step crashed"))
+
+
+class TestFormationFaults:
+    """A formation run counts only ψ_PF's refusal as "not formed"; any
+    other fault in a step propagates out of the theorem11 row."""
+
+    def _row(self, monkeypatch, error: Exception):
+        def failing_step(scheduler, config):
+            raise error
+
+        monkeypatch.setattr(experiments.FsyncScheduler, "step",
+                            failing_step)
+        # Theorem 1.1's solvable cube -> octagon.
+        return experiments._theorem11_instance_row((
+            "cube", "octagon", named_pattern("cube"),
+            named_pattern("octagon"), np.random.SeedSequence(5)))
+
+    def test_type_error_propagates_out_of_the_row(self, monkeypatch):
+        with pytest.raises(TypeError, match="step crashed"):
+            self._row(monkeypatch, TypeError("step crashed"))
+
+    def test_refusal_reads_as_not_formed(self, monkeypatch):
+        row = self._row(monkeypatch, EmbeddingError("refused"))
+        assert row.predicted_formable
+        assert (row.formed_random, row.rounds) == (False, -1)
+        assert row.formed_worst_case is False

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -113,10 +116,39 @@ class TestBuildCellRecord:
         assert len(record["rows"]) == len(result.rows)
         assert record["rows_sha256"] == \
             result.manifest["rows"]["sha256"]
-        # deterministic view only: no wall-clock, no artifacts
+        # deterministic view only: no wall-clock, no artifacts, and of
+        # the cache configuration only the switch a spec sets
         assert "timing" not in record["manifest"]
         assert "artifacts" not in record["manifest"]
+        assert record["manifest"]["cache"] == {
+            "enabled": result.manifest["cache"]["enabled"]}
+        assert "l3" in result.manifest["cache"]
         # metrics are the logical counters (jobs-invariant)
         assert all(not key.startswith("backend.")
                    for key in record["metrics"])
         json.dumps(record)  # jsonable as-is
+
+
+class TestRecordsIgnoreCacheConfiguration:
+    def test_smoke_export_same_with_and_without_l3(self, tmp_path):
+        """``campaign run examples/campaign-smoke.toml --jobs 1``
+        stores the same bytes with the L3 disk store on and off."""
+        root = Path(__file__).resolve().parents[2]
+
+        def export(name: str, **env: str) -> bytes:
+            store = tmp_path / name / "results.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "campaign", "run",
+                 "examples/campaign-smoke.toml", "--jobs", "1",
+                 "--store", str(store)],
+                cwd=root, capture_output=True, text=True,
+                env={"PYTHONPATH": str(root / "src"), "PATH": "",
+                     "REPRO_CACHE_DIR": str(tmp_path / name / "l3"),
+                     **env})
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            return store.read_bytes()
+
+        with_l3 = export("on")
+        without_l3 = export("off", REPRO_DISK_CACHE="0")
+        assert len(with_l3.splitlines()) == 5  # header + 4 cells
+        assert with_l3 == without_l3

@@ -7,6 +7,7 @@ from repro.core.configuration import Configuration
 from repro.errors import UnsolvableError
 from repro.patterns import polyhedra
 from repro.robots.adversary import random_frames
+from repro.robots.algorithms import sequence
 from repro.robots.algorithms.sequence import (
     make_sequence_formation_algorithm,
     validate_sequence,
@@ -79,3 +80,20 @@ class TestSequenceExecution:
                 reached = True
                 break
         assert reached
+
+    def test_a_fault_in_the_formability_check_propagates(self,
+                                                          monkeypatch):
+        # Only formability_report's documented ConfigurationError skips
+        # a pattern; anything else is a fault, not "unformable".
+        algorithm = make_sequence_formation_algorithm(d6_sequence())
+
+        def crashing_report(initial, target):
+            raise TypeError("report crashed")
+
+        monkeypatch.setattr(sequence, "formability_report", crashing_report)
+        rng = np.random.default_rng(5)
+        start = [rng.normal(size=3) for _ in range(12)]
+        scheduler = FsyncScheduler(algorithm,
+                                   random_frames(12, np.random.default_rng(1)))
+        with pytest.raises(TypeError, match="report crashed"):
+            scheduler.step(Configuration(start))

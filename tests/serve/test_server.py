@@ -334,13 +334,16 @@ class TestPoolDrain:
     def test_close_answers_queued_queries_503(self):
         # One worker holds two tasks (running + the executor's call
         # queue); the rest are still queued when the pool closes and
-        # answer 503, while the started ones finish normally.
+        # answer 503, while the started ones finish normally.  The
+        # first query must outlast the 0.3 s before the close: in a
+        # warm process on a 2-vCPU host lemma7 takes about 0.7 s at 12
+        # trials, and 0.25 s at 4, which let every query start.
         from repro.api import ExperimentSpec
         from repro.serve.dispatch import Dispatcher
         from repro.serve.protocol import encode_query
 
         wire = encode_query(RunQuery(name="lemma7",
-                                     spec=ExperimentSpec(trials=4)))
+                                     spec=ExperimentSpec(trials=12)))
 
         async def main():
             dispatcher = Dispatcher(workers=1)
