@@ -557,9 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     # repro.lint.cli.main (`repro lint --help` prints reprolint's help).
     sub.add_parser(
         "lint", add_help=False,
-        help="run reprolint (REP001-REP011 invariant checks, including "
-             "the cross-module dataflow rules); options as for "
-             "`python -m repro.lint`")
+        help="run reprolint (REP001-REP005, REP007-REP009 and REP011 "
+             "invariant checks, including the cross-module dataflow "
+             "rules); options as for `python -m repro.lint`")
     return parser
 
 

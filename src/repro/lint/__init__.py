@@ -1,8 +1,9 @@
 """reprolint — domain-specific static analysis for the reproduction.
 
-Six file-local AST rules plus four cross-module dataflow rules
-turn the model's semantic invariants into compile-time failures (see
-``docs/STATIC_ANALYSIS.md``):
+Seven file-local AST rules plus two cross-module dataflow rules turn
+the model's semantic invariants into compile-time failures (see
+``docs/STATIC_ANALYSIS.md``, which also records the mutation audit
+that keeps each of them):
 
 ==========  =========================================================
 REP001      tolerance discipline: float comparisons go through
@@ -22,15 +23,13 @@ REP008      determinism taint: no clock/identity/set-order value
             or cache keys
 REP009      seed provenance: no cross-module seed arithmetic feeding
             an RNG on a run path; ``SeedSequence.spawn`` only
-REP010      pre-fork threads: no ``threading`` primitive created on
-            a path that runs before the process pool forks
-REP011      facade contract: public ``repro.api``/``repro.campaign``
-            signatures fully annotated; ``GRID_AXES`` in sync with
-            ``ExperimentSpec``
+REP011      facade contract: public ``repro.api``/``repro.campaign``/
+            ``repro.serve`` signatures fully annotated; no plain
+            assignments on facade record classes
 ==========  =========================================================
 
-REP001–REP005 and REP007 are pure functions of one file;
-REP008–REP011 run on the whole-project IR built by
+REP001–REP005, REP007 and REP011 are pure functions of one file;
+REP008 and REP009 run on the whole-project IR built by
 :mod:`repro.lint.project` and flow values through
 :mod:`repro.lint.dataflow`.  Every run parses and analyses every
 file; reports are text or the schema-1 JSON (``--format json``).

@@ -71,9 +71,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Domain-specific static analysis for the "
                     "reproduction: tolerance discipline, "
                     "obliviousness, cache purity, seeding, "
-                    "determinism, and the cross-module dataflow "
-                    "rules (taint, seed provenance, pre-fork "
-                    "threads, facade contracts).")
+                    "determinism, campaign purity, facade contracts, "
+                    "and the cross-module dataflow rules (taint, "
+                    "seed provenance).")
     parser.add_argument(
         "paths", nargs="*", default=list(_DEFAULT_PATHS),
         help="files or directories to lint (default: src benchmarks)")

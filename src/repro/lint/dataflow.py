@@ -31,7 +31,6 @@ Deliberate imprecision (documented in ``docs/STATIC_ANALYSIS.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.lint.project import (CallIR, ExprIR, FunctionInfo,
                                 ModuleSummary, Project)
@@ -42,8 +41,6 @@ __all__ = [
     "SinkSpec",
     "TaintAnalysis",
     "TaintSpec",
-    "call_graph",
-    "reachable",
 ]
 
 Label = tuple[str, ...]
@@ -345,50 +342,3 @@ class TaintAnalysis:
                 self._hits.add(Finding(
                     path=summary.path, line=call.line, col=call.col,
                     sink=sink.name, label=label, via=None))
-
-
-# ---------------------------------------------------------------------------
-# Call graph (for reachability-style rules)
-# ---------------------------------------------------------------------------
-
-
-def _iter_calls(expr: ExprIR) -> Iterable[CallIR]:
-    for call in expr.calls:
-        yield call
-        for arg in call.args:
-            yield from _iter_calls(arg)
-        for _, value in call.keywords:
-            yield from _iter_calls(value)
-        if call.recv is not None:
-            yield from _iter_calls(call.recv)
-
-
-def call_graph(project: Project) -> dict[FnKey, set[FnKey]]:
-    """Conservative project-internal call graph (resolved edges only)."""
-    graph: dict[FnKey, set[FnKey]] = {}
-    for summary, info in project.iter_functions():
-        edges: set[FnKey] = set()
-        for _, _, expr in info.ops:
-            for call in _iter_calls(expr):
-                qualified = project.resolve_ref(summary, info, call.ref)
-                resolved = project.function_for(qualified)
-                if resolved is not None:
-                    edges.add((resolved[0].name, resolved[1].qualname))
-        graph[(summary.name, info.qualname)] = edges
-    return graph
-
-
-def reachable(graph: dict[FnKey, set[FnKey]],
-              roots: Iterable[FnKey]) -> set[FnKey]:
-    """Transitive closure of ``roots`` over the call graph."""
-    seen: set[FnKey] = set()
-    frontier = [root for root in roots if root in graph]
-    while frontier:
-        key = frontier.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        for target in graph.get(key, ()):
-            if target not in seen:
-                frontier.append(target)
-    return seen

@@ -288,3 +288,37 @@ def iter_function_defs(tree: ast.AST) -> Iterable[ast.FunctionDef |
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
+
+
+def builder_fstrings(ctx: FileContext, words: tuple[str, ...],
+                     ) -> Iterator[tuple[ast.FunctionDef |
+                                         ast.AsyncFunctionDef,
+                                         ast.JoinedStr]]:
+    """``(function, f-string)`` for every interpolating f-string inside
+    a function whose name contains one of ``words`` (key and digest
+    builders, REP003 and REP007).
+
+    An f-string under a ``raise`` builds an error message, not key
+    material, and is skipped.
+    """
+    for func in iter_function_defs(ctx.tree):
+        lowered = func.name.lower()
+        if not any(word in lowered for word in words):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.JoinedStr) and any(
+                    isinstance(part, ast.FormattedValue)
+                    for part in node.values) and \
+                    not _under_raise(ctx, node):
+                yield func, node
+
+
+def _under_raise(ctx: FileContext, node: ast.AST) -> bool:
+    for _ in range(4):
+        parent = ctx.parent(node)
+        if parent is None:
+            return False
+        if isinstance(parent, ast.Raise):
+            return True
+        node = parent
+    return False

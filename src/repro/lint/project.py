@@ -1,23 +1,23 @@
 """Project model for reprolint's cross-module engine.
 
-The file-local rules (REP001-REP005, REP007) are pure functions of one
-:class:`~repro.lint.framework.FileContext`; the cross-module rules
-(REP008-REP011) need a *project*: which modules exist, what each one
+The file rules (REP001-REP005, REP007, REP011) are pure functions of
+one :class:`~repro.lint.framework.FileContext`; the cross-module rules
+(REP008, REP009) need a *project*: which modules exist, what each one
 imports, which functions call which, and how values flow between
 them.  This module builds that model in two stages:
 
 1. :func:`summarize_module` lowers one parsed file into a
-   :class:`ModuleSummary` — imports resolved to dotted targets,
-   module-level literal constants, and one :class:`FunctionInfo` per
-   function (methods and nested functions included).  Each function
-   carries a small IR: an ordered list of ops (assignments, returns,
-   loop bindings, bare expressions) whose expressions record the
-   names they read, the calls they make and a few structural flags.
+   :class:`ModuleSummary` — imports resolved to dotted targets and one
+   :class:`FunctionInfo` per function (methods and nested functions
+   included).  Each function carries a small IR: an ordered list of
+   ops (assignments, returns, loop bindings, bare expressions) whose
+   expressions record the names they read, the calls they make and a
+   few structural flags.
    The summary is a pure function of the file's source.
 2. :class:`Project` assembles the summaries, resolves dotted call
    references against imports and symbol tables, and answers the
    queries the dataflow pass (:mod:`repro.lint.dataflow`) and the
-   project rules ask: "which function is ``parallel.process_pool``
+   project rules ask: "which function is ``parallel.spawn_seeds``
    here?", "which modules are transitively imported from
    ``repro.api``?".
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Iterator
 
 __all__ = [
     "CallIR",
@@ -114,9 +114,6 @@ class FunctionInfo:
         default_factory=list)
     #: Nested function name → qualname, for call resolution.
     local_funcs: dict[str, str] = field(default_factory=dict)
-    is_public: bool = True
-    #: Parameter names (plus "return") lacking annotations.
-    missing_annotations: tuple[str, ...] = ()
 
 
 @dataclass
@@ -127,18 +124,10 @@ class ModuleSummary:
     path: str  # display path, forward slashes
     imports: dict[str, str] = field(default_factory=dict)
     deps: tuple[str, ...] = ()
-    constants: dict[str, Any] = field(default_factory=dict)
-    #: constant name → line it is defined on
-    constant_lines: dict[str, int] = field(default_factory=dict)
     #: qualname ("f", "Cls.m", "outer.inner") → FunctionInfo
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: class name → tuple of annotated field names (dataclass-style)
     class_fields: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: class name → tuple of ``(name, line)`` for *plain* (unannotated)
-    #: class-body assignments.  On a dataclass these are silently not
-    #: fields — the facade-contract rule flags them on record classes.
-    class_plain_fields: dict[str, tuple[tuple[str, int], ...]] = field(
-        default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +228,7 @@ class _FunctionLowerer:
         self.info = FunctionInfo(
             name=node.name, qualname=qualname, cls=cls_name,
             params=self._param_names(node), line=node.lineno,
-            col=node.col_offset,
-            is_public=not node.name.startswith("_"))
+            col=node.col_offset)
         self._nested: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
 
     @staticmethod
@@ -258,25 +246,9 @@ class _FunctionLowerer:
 
     def lower(self) -> tuple[FunctionInfo,
                              list[ast.FunctionDef | ast.AsyncFunctionDef]]:
-        self._missing_annotations()
         for stmt in self.node.body:
             self._stmt(stmt)
         return self.info, self._nested
-
-    def _missing_annotations(self) -> None:
-        node, args = self.node, self.node.args
-        ordered = (list(args.posonlyargs) + list(args.args)
-                   + list(args.kwonlyargs))
-        missing = [a.arg for a in ordered
-                   if a.annotation is None
-                   and a.arg not in ("self", "cls")]
-        if args.vararg is not None and args.vararg.annotation is None:
-            missing.append("*" + args.vararg.arg)
-        if args.kwarg is not None and args.kwarg.annotation is None:
-            missing.append("**" + args.kwarg.arg)
-        if node.returns is None and node.name != "__init__":
-            missing.append("return")
-        self.info.missing_annotations = tuple(missing)
 
     # -- statements ----------------------------------------------------
     def _stmt(self, stmt: ast.stmt) -> None:
@@ -396,38 +368,13 @@ def _module_imports(tree: ast.Module, module_name: str, is_package: bool,
     return imports, expanded
 
 
-def _module_constants(tree: ast.Module,
-                      ) -> tuple[dict[str, Any], dict[str, int]]:
-    """Module-level literal constants (``GRID_AXES``-style tuples)."""
-    constants: dict[str, Any] = {}
-    lines: dict[str, int] = {}
-    for stmt in tree.body:
-        target: ast.AST | None = None
-        value: ast.AST | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target, value = stmt.target, stmt.value
-        if not isinstance(target, ast.Name) or value is None:
-            continue
-        try:
-            constants[target.id] = ast.literal_eval(value)
-        except (ValueError, TypeError, SyntaxError, MemoryError):
-            continue
-        lines[target.id] = stmt.lineno
-    return constants, lines
-
-
 def summarize_module(posix_path: str, tree: ast.Module) -> ModuleSummary:
     """Lower one parsed module into its project summary."""
     name = module_name_for(posix_path)
     is_package = posix_path.endswith("__init__.py")
     imports, deps = _module_imports(tree, name, is_package)
-    constants, constant_lines = _module_constants(tree)
     summary = ModuleSummary(name=name, path=posix_path, imports=imports,
-                            deps=tuple(sorted(deps)),
-                            constants=constants,
-                            constant_lines=constant_lines)
+                            deps=tuple(sorted(deps)))
 
     pending: list[tuple[ast.FunctionDef | ast.AsyncFunctionDef,
                         str, str | None]] = []
@@ -436,21 +383,15 @@ def summarize_module(posix_path: str, tree: ast.Module) -> ModuleSummary:
             pending.append((stmt, stmt.name, None))
         elif isinstance(stmt, ast.ClassDef):
             fields: list[str] = []
-            plain: list[tuple[str, int]] = []
             for sub in stmt.body:
                 if isinstance(sub, ast.AnnAssign) and \
                         isinstance(sub.target, ast.Name):
                     fields.append(sub.target.id)
-                elif isinstance(sub, ast.Assign):
-                    for target in sub.targets:
-                        if isinstance(target, ast.Name):
-                            plain.append((target.id, sub.lineno))
                 elif isinstance(sub, (ast.FunctionDef,
                                       ast.AsyncFunctionDef)):
                     pending.append((sub, f"{stmt.name}.{sub.name}",
                                     stmt.name))
             summary.class_fields[stmt.name] = tuple(fields)
-            summary.class_plain_fields[stmt.name] = tuple(plain)
 
     while pending:
         node, qualname, cls_name = pending.pop(0)
@@ -462,8 +403,7 @@ def summarize_module(posix_path: str, tree: ast.Module) -> ModuleSummary:
     # Module-level statements form a pseudo-function so module-scope
     # calls participate in the analysis.
     module_info = FunctionInfo(name="<module>", qualname="<module>",
-                               cls=None, params=(), line=1, col=0,
-                               missing_annotations=())
+                               cls=None, params=(), line=1, col=0)
     lowerer = _FunctionLowerer.__new__(_FunctionLowerer)
     lowerer.info = module_info
     lowerer._nested = []

@@ -13,7 +13,6 @@ from repro.lint.rules.determinism import RowDeterminism
 from repro.lint.rules.determinism_taint import DeterminismTaintRule
 from repro.lint.rules.facade_contract import FacadeContractRule
 from repro.lint.rules.obliviousness import ObliviousnessContract
-from repro.lint.rules.prefork import PreforkThreadRule
 from repro.lint.rules.seed_provenance import SeedProvenanceRule
 from repro.lint.rules.seeding import SeedingDiscipline
 from repro.lint.rules.tolerance import ToleranceDiscipline
@@ -29,7 +28,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     CampaignPurity,
     DeterminismTaintRule,
     SeedProvenanceRule,
-    PreforkThreadRule,
     FacadeContractRule,
 )
 

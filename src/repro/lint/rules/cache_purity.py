@@ -2,9 +2,10 @@
 
 The three-level cache hierarchy (``src/repro/perf/``) is only sound
 if a stored value is a pure deterministic function of its key's
-preimage: L2 entries are served across processes and L3 entries
-across runs, so any impurity becomes an irreproducible wrong answer
-long after the code that computed it has scrolled away.
+preimage: L2 entries are served to every later task on the same pool
+worker and L3 entries across runs, so any impurity becomes an
+irreproducible wrong answer long after the code that computed it has
+scrolled away.
 
 Mechanical checks for files under ``perf/``:
 
@@ -32,7 +33,7 @@ from repro.lint.framework import (
     FileContext,
     Rule,
     Violation,
-    iter_function_defs,
+    builder_fstrings,
 )
 
 __all__ = ["CachePurity"]
@@ -71,7 +72,12 @@ class CachePurity(Rule):
             elif isinstance(node, (ast.FunctionDef,
                                    ast.AsyncFunctionDef)):
                 yield from self._mutable_defaults(ctx, node)
-        yield from self._fstrings_in_key_builders(ctx)
+        for func, node in builder_fstrings(ctx, ("key", "digest")):
+            yield ctx.violation(
+                node, self.rule_id,
+                f"f-string inside key builder {func.name}(); "
+                f"interpolation prints values — hash exact "
+                f"bytes instead")
 
     def _printed_bytes(self, ctx: FileContext,
                        node: ast.Call) -> Iterator[Violation]:
@@ -107,32 +113,3 @@ class CachePurity(Rule):
                     default, self.rule_id,
                     f"mutable default argument in {func.name}(); the "
                     f"shared instance is cross-call cache state")
-
-    def _fstrings_in_key_builders(self, ctx: FileContext,
-                                  ) -> Iterator[Violation]:
-        for func in iter_function_defs(ctx.tree):
-            lowered = func.name.lower()
-            if "key" not in lowered and "digest" not in lowered:
-                continue
-            for node in ast.walk(func):
-                if isinstance(node, ast.JoinedStr) and any(
-                        isinstance(part, ast.FormattedValue)
-                        for part in node.values):
-                    if self._under_raise(ctx, node):
-                        continue  # error message, not key material
-                    yield ctx.violation(
-                        node, self.rule_id,
-                        f"f-string inside key builder {func.name}(); "
-                        f"interpolation prints values — hash exact "
-                        f"bytes instead")
-
-    @staticmethod
-    def _under_raise(ctx: FileContext, node: ast.AST) -> bool:
-        for _ in range(4):
-            parent = ctx.parent(node)
-            if parent is None:
-                return False
-            if isinstance(parent, ast.Raise):
-                return True
-            node = parent
-        return False

@@ -34,6 +34,7 @@ from repro.lint.framework import (
     FileContext,
     Rule,
     Violation,
+    builder_fstrings,
     iter_function_defs,
 )
 
@@ -112,25 +113,10 @@ class CampaignPurity(Rule):
                         f"repr().encode() inside digest builder "
                         f"{func.name}(); digests hash canonical JSON "
                         f"of explicit fields, not printed forms")
-                elif isinstance(node, ast.JoinedStr) and any(
-                        isinstance(part, ast.FormattedValue)
-                        for part in node.values):
-                    if self._under_raise(ctx, node):
-                        continue  # error message, not digest material
-                    yield ctx.violation(
-                        node, self.rule_id,
-                        f"f-string inside digest builder {func.name}(); "
-                        f"interpolation prints values — build the "
-                        f"preimage as an explicit mapping and hash its "
-                        f"canonical JSON")
-
-    @staticmethod
-    def _under_raise(ctx: FileContext, node: ast.AST) -> bool:
-        for _ in range(4):
-            parent = ctx.parent(node)
-            if parent is None:
-                return False
-            if isinstance(parent, ast.Raise):
-                return True
-            node = parent
-        return False
+        for func, node in builder_fstrings(ctx, ("digest",)):
+            yield ctx.violation(
+                node, self.rule_id,
+                f"f-string inside digest builder {func.name}(); "
+                f"interpolation prints values — build the "
+                f"preimage as an explicit mapping and hash its "
+                f"canonical JSON")

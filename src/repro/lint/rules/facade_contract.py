@@ -1,202 +1,117 @@
-"""REP011 — façade typing and campaign axis drift.
+"""REP011 — the façade's typed, record-shaped surface.
 
-Two contracts that only a project-wide view can check:
+Two checks on the façade modules (:mod:`repro.api` and everything
+under ``repro.campaign`` and ``repro.serve``), each a pure function of
+one file:
 
-**Public signatures on the façade are fully annotated.**  The repo's
-mypy gate runs strict on a growing allow-list; this rule is the
-linter-side mirror that does not need mypy installed: every public
-function or method (name not starting with ``_``) in
-:mod:`repro.api` or under ``repro.campaign`` must annotate every
-parameter and its return type.  ``*args``/``**kwargs`` count;
-``self``/``cls`` and ``__init__``'s return do not.  Unannotated
-façade signatures are how untyped values leak into the typed core.
-
-**``GRID_AXES`` stays in sync with ``ExperimentSpec``.**  The
-campaign grid expands each axis by setting the same-named field on
-:class:`repro.api.ExperimentSpec` — an axis with no matching field
-would silently expand into cells whose setting is dropped on the
-floor.  The tuple lives in ``repro.campaign.spec`` and the dataclass
-in ``repro.api``, so a single-file pass cannot see the drift.  The
-rule resolves the ``ExperimentSpec`` import in any module defining a
-``GRID_AXES`` constant and requires every axis name to be a declared
-field of that class.
-
-**``SPEC_WIRE_FIELDS`` stays in sync with both.**  The query server's
-wire protocol pins which spec fields a run query can carry
-(``repro.serve.protocol``).  Two drifts are possible and both are
-silent at runtime: a wire field with no matching ``ExperimentSpec``
-field would crash (or worse, be dropped) at decode, and a
-``GRID_AXES`` axis missing from the wire tuple means the service
-cannot express a campaign cell.  The rule requires every wire field
-to be a spec field and every grid axis to be a wire field.
+**Public signatures are fully annotated.**  The repo's mypy gate runs
+strict on a growing allow-list, but only where mypy is installed and
+never as a blocking CI step; this rule is the always-on mirror: every
+public function or method (name not starting with ``_``) at the top
+level of a façade module or of one of its public classes must annotate
+every parameter and its return type.  ``*args``/``**kwargs`` count;
+``self``/``cls`` do not.  Unannotated façade signatures are how
+untyped values leak into the typed core.
 
 **Record classes have no plain fields.**  The query/spec records are
 frozen dataclasses; a *plain* (unannotated) class-body assignment on
 one is silently not a dataclass field — it never reaches ``asdict``,
-the wire, or a digest.  On facade modules, any public class that has
-annotated fields must not also carry public plain assignments.
+the wire, or a digest.  Any public class that has annotated fields
+must not also carry public plain assignments.
+
+The campaign grid axes and the serve wire fields are kept in step
+with ``ExperimentSpec`` by ``tests/serve/test_protocol.py``, not here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import ast
+from typing import Iterator
 
-from repro.lint.framework import ProjectRule, Violation
-from repro.lint.project import ModuleSummary, Project
+from repro.lint.framework import FileContext, Rule, Violation
+from repro.lint.project import module_name_for
 
 __all__ = ["FacadeContractRule"]
 
 #: Modules whose public signatures must be fully annotated.
 _TYPED_FACADES = ("repro.api", "repro.campaign", "repro.serve")
 
-_AXIS_CONSTANT = "GRID_AXES"
-_WIRE_CONSTANT = "SPEC_WIRE_FIELDS"
-_SPEC_CLASS = "ExperimentSpec"
+
+def _missing_annotations(node: ast.FunctionDef | ast.AsyncFunctionDef,
+                         ) -> list[str]:
+    """Parameter names (``*args``/``**kw`` marked) plus ``"return"``
+    that carry no annotation; ``self``/``cls`` are exempt."""
+    args = node.args
+    missing = [a.arg for a in (*args.posonlyargs, *args.args,
+                               *args.kwonlyargs)
+               if a.annotation is None and a.arg not in ("self", "cls")]
+    if args.vararg is not None and args.vararg.annotation is None:
+        missing.append("*" + args.vararg.arg)
+    if args.kwarg is not None and args.kwarg.annotation is None:
+        missing.append("**" + args.kwarg.arg)
+    if node.returns is None:
+        missing.append("return")
+    return missing
 
 
-def _in_facade(name: str) -> bool:
-    return any(name == facade or name.startswith(facade + ".")
-               for facade in _TYPED_FACADES)
-
-
-class FacadeContractRule(ProjectRule):
-    """Façade annotations + grid-axis drift (REP011)."""
+class FacadeContractRule(Rule):
+    """Façade annotations and record-class fields (REP011)."""
 
     rule_id = "REP011"
-    summary = "public facade signature unannotated, or campaign/" \
-              "serve wire constants out of sync with ExperimentSpec"
+    summary = "public facade signature unannotated, or a plain " \
+              "assignment on a facade record class"
 
-    def check_project(self, project: Project) -> Iterable[Violation]:
-        for name in sorted(project.modules):
-            summary = project.modules[name]
-            if _in_facade(name):
-                yield from self._check_annotations(summary)
-                yield from self._check_plain_fields(summary)
-            if _AXIS_CONSTANT in summary.constants:
-                yield from self._check_axes(project, summary)
-            if _WIRE_CONSTANT in summary.constants:
-                yield from self._check_wire_fields(project, summary)
+    def applies(self, posix_path: str) -> bool:
+        name = module_name_for(posix_path)
+        return any(name == facade or name.startswith(facade + ".")
+                   for facade in _TYPED_FACADES)
 
-    def _check_annotations(self, summary: ModuleSummary,
-                           ) -> Iterable[Violation]:
-        for qual in sorted(summary.functions):
-            info = summary.functions[qual]
-            if not info.is_public or qual == "<module>":
+    def check(self, ctx: FileContext) -> Iterator[Violation]:
+        # A later definition of the same name replaces the earlier
+        # one, as it does at import time.
+        functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
+        records: dict[str, ast.ClassDef] = {}
+        for stmt in ctx.tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions[stmt.name] = stmt
+            elif isinstance(stmt, ast.ClassDef):
+                records[stmt.name] = stmt
+                for sub in stmt.body:
+                    if isinstance(sub, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                        functions[f"{stmt.name}.{sub.name}"] = sub
+        for qual, node in functions.items():
+            # Private functions, and every method of a private class,
+            # are not façade surface.
+            if any(part.startswith("_") for part in qual.split(".")):
                 continue
-            # Methods of private classes are not facade surface.
-            if info.cls is not None and info.cls.startswith("_"):
-                continue
-            # Only top-level functions and direct methods are facade
-            # surface; nested functions are implementation detail.
-            direct = (qual == info.name or
-                      (info.cls is not None and
-                       qual == f"{info.cls}.{info.name}"))
-            if not direct:
-                continue
-            for missing in info.missing_annotations:
+            for missing in _missing_annotations(node):
                 what = ("return type" if missing == "return"
                         else f"parameter `{missing}`")
-                yield Violation(
-                    path=summary.path, line=info.line, col=info.col,
-                    rule=self.rule_id,
-                    message=(f"public facade signature "
-                             f"`{qual}` leaves {what} "
-                             f"unannotated"))
+                yield ctx.violation(
+                    node, self.rule_id,
+                    f"public facade signature `{qual}` leaves {what} "
+                    f"unannotated")
+        for cls_name, cls in records.items():
+            if not cls_name.startswith("_"):
+                yield from self._plain_fields(ctx, cls)
 
-    def _check_plain_fields(self, summary: ModuleSummary,
-                            ) -> Iterable[Violation]:
-        for cls_name in sorted(summary.class_plain_fields):
-            if cls_name.startswith("_"):
+    def _plain_fields(self, ctx: FileContext,
+                      cls: ast.ClassDef) -> Iterator[Violation]:
+        if not any(isinstance(sub, ast.AnnAssign) and
+                   isinstance(sub.target, ast.Name) for sub in cls.body):
+            return  # not record-shaped; plain attrs are fine
+        for sub in cls.body:
+            if not isinstance(sub, ast.Assign):
                 continue
-            if not summary.class_fields.get(cls_name):
-                continue  # not record-shaped; plain attrs are fine
-            for fname, line in summary.class_plain_fields[cls_name]:
-                if fname.startswith("_"):
-                    continue
-                yield Violation(
-                    path=summary.path, line=line, col=0,
-                    rule=self.rule_id,
-                    message=(f"record class `{cls_name}` assigns "
-                             f"`{fname}` without a type annotation; "
-                             f"a plain assignment is not a dataclass "
-                             f"field and silently drops off the "
-                             f"record"))
-
-    def _spec_fields(self, project: Project, summary: ModuleSummary,
-                     ) -> "tuple[str, tuple[str, ...] | None]":
-        """Resolve the imported ``ExperimentSpec``'s declared fields."""
-        target = summary.imports.get(_SPEC_CLASS)
-        if target is None:
-            return "", None
-        module_name, _, class_name = target.rpartition(".")
-        spec_module = project.modules.get(module_name)
-        if spec_module is None:
-            return target, None
-        return target, spec_module.class_fields.get(class_name)
-
-    def _check_wire_fields(self, project: Project,
-                           summary: ModuleSummary,
-                           ) -> Iterable[Violation]:
-        wire = summary.constants[_WIRE_CONSTANT]
-        if not isinstance(wire, (tuple, list)):
-            return
-        line = summary.constant_lines.get(_WIRE_CONSTANT, 0)
-        target, fields = self._spec_fields(project, summary)
-        if fields is not None:
-            for fname in wire:
-                if not isinstance(fname, str) or fname in fields:
-                    continue
-                yield Violation(
-                    path=summary.path, line=line, col=0,
-                    rule=self.rule_id,
-                    message=(f"{_WIRE_CONSTANT} field `{fname}` has "
-                             f"no matching field on {target}; the "
-                             f"wire would carry a setting the spec "
-                             f"cannot hold"))
-        # Every campaign axis must be expressible on the wire, or the
-        # service cannot serve what the campaign can run.
-        wire_names = {fname for fname in wire if isinstance(fname, str)}
-        for other_name in sorted(project.modules):
-            other = project.modules[other_name]
-            axes = other.constants.get(_AXIS_CONSTANT)
-            if not isinstance(axes, (tuple, list)):
-                continue
-            for axis in axes:
-                if not isinstance(axis, str) or axis in wire_names:
-                    continue
-                yield Violation(
-                    path=summary.path, line=line, col=0,
-                    rule=self.rule_id,
-                    message=(f"{_AXIS_CONSTANT} axis `{axis}` "
-                             f"(defined in {other_name}) is missing "
-                             f"from {_WIRE_CONSTANT}; the query "
-                             f"server cannot express that campaign "
-                             f"axis"))
-
-    def _check_axes(self, project: Project, summary: ModuleSummary,
-                    ) -> Iterable[Violation]:
-        axes = summary.constants[_AXIS_CONSTANT]
-        if not isinstance(axes, (tuple, list)):
-            return
-        target = summary.imports.get(_SPEC_CLASS)
-        if target is None:
-            return
-        module_name, _, class_name = target.rpartition(".")
-        spec_module = project.modules.get(module_name)
-        if spec_module is None:
-            return
-        fields = spec_module.class_fields.get(class_name)
-        if fields is None:
-            return
-        line = summary.constant_lines.get(_AXIS_CONSTANT, 0)
-        for axis in axes:
-            if not isinstance(axis, str) or axis in fields:
-                continue
-            yield Violation(
-                path=summary.path, line=line, col=0,
-                rule=self.rule_id,
-                message=(f"{_AXIS_CONSTANT} axis `{axis}` has no "
-                         f"matching field on "
-                         f"{module_name}.{class_name}; the grid "
-                         f"would expand a setting that is silently "
-                         f"dropped"))
+            for target in sub.targets:
+                if isinstance(target, ast.Name) and \
+                        not target.id.startswith("_"):
+                    yield Violation(
+                        path=ctx.display_path, line=sub.lineno, col=0,
+                        rule=self.rule_id,
+                        message=(f"record class `{cls.name}` assigns "
+                                 f"`{target.id}` without a type "
+                                 f"annotation; a plain assignment is "
+                                 f"not a dataclass field and silently "
+                                 f"drops off the record"))

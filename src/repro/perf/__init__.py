@@ -29,8 +29,8 @@ inputs — and :func:`hierarchy_stats` snapshots uniform
 hit/miss/eviction/bytes counters across all three levels.
 
 See ``docs/PERFORMANCE.md`` for the design and the argument for why
-congruence-invariant keys — and exact-byte keys across processes —
-are safe.
+congruence-invariant keys — and exact-byte keys within each pool
+worker and across runs — are safe.
 """
 
 from repro.perf.cache import (

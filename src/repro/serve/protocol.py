@@ -23,10 +23,10 @@ bytes simply run separately, which costs time but never correctness
 (the same argument as the L1 key discipline).
 
 ``SPEC_WIRE_FIELDS`` pins the :class:`repro.api.ExperimentSpec`
-fields a run query carries on the wire.  REP011 checks it against the
-spec dataclass (no drift: a wire field with no spec field would be
-silently dropped) and against the campaign's ``GRID_AXES`` (the wire
-must be able to express any campaign axis).  Artifact paths are
+fields a run query carries on the wire.  ``tests/serve/test_protocol.py``
+checks it against the spec dataclass (no drift: a wire field with no
+spec field would be silently dropped) and against the campaign's
+``GRID_AXES`` (the wire must be able to express any campaign axis).  Artifact paths are
 deliberately absent: a server never writes client-named files.  So is
 ``jobs``: a served run executes its trials inline in one server worker
 (rows are identical for any ``jobs``), so a client cannot make the
@@ -65,8 +65,8 @@ __all__ = [
 WIRE_SCHEMA_VERSION = 1
 
 #: ExperimentSpec fields a RunQuery carries on the wire, in spec
-#: declaration order.  Checked by REP011 against the dataclass fields
-#: and the campaign GRID_AXES.
+#: declaration order.  tests/serve/test_protocol.py checks them
+#: against the dataclass fields and the campaign GRID_AXES.
 SPEC_WIRE_FIELDS = ("trials", "seed", "cache", "schema_version")
 
 

@@ -2,11 +2,44 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
 from repro.geometry.transforms import Similarity
 from repro.patterns.library import named_pattern
+
+
+_L3_ENV = pytest.StashKey[pytest.MonkeyPatch]()
+
+
+def pytest_configure(config):
+    """Point the L3 disk cache at a fresh temporary directory, for the
+    whole run and every subprocess a test starts: a run must not write
+    ``./.repro-cache`` or read what an earlier run left there.  This
+    happens before collection, since some test modules build catalog
+    groups at import.  Tests that call ``disk.configure()`` to restore
+    the default land here too: it re-resolves from the environment."""
+    from repro.perf import disk
+
+    patch = pytest.MonkeyPatch()
+    patch.setenv("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-l3-"))
+    config.stash[_L3_ENV] = patch
+    disk.configure()
+
+
+def pytest_unconfigure(config):
+    from repro.perf import disk
+
+    patch = config.stash.get(_L3_ENV, None)
+    if patch is None:
+        return
+    shutil.rmtree(os.environ["REPRO_CACHE_DIR"], ignore_errors=True)
+    patch.undo()
+    disk.configure()
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
-"""Good/bad fixture pairs for the cross-module rules REP008–REP011.
+"""Good/bad fixture pairs for the cross-module rules REP008 and
+REP009, and for the façade rule REP011, linted as whole trees.
 
-Every *bad* case here includes at least one positive that a
-single-file pass provably cannot detect: the same consumer file
+Every *bad* REP008/REP009 case here includes at least one positive
+that a single-file pass provably cannot detect: the same consumer file
 linted on its own (the callee module absent from the project) must
-report nothing, while the full tree must report the flow.
+report nothing, while the full tree must report the flow.  REP011 is
+a file rule; its fixtures write ``src/repro/...`` trees all the same.
 """
 
 
@@ -289,71 +291,7 @@ class TestRep009SeedProvenance:
 
 
 # ---------------------------------------------------------------------------
-# REP010 — thread primitives on the pre-fork pool path
-# ---------------------------------------------------------------------------
-
-
-class TestRep010Lifecycle:
-    def test_thread_primitive_on_prefork_pool_path(self, lint_tree):
-        # The pool module is found by what it constructs, not by its
-        # name: a lock reachable from pool creation is flagged two
-        # modules away; the worker initializer runs post-fork.
-        report = lint_tree({
-            "src/repro/perf/fanout.py": """\
-                import threading
-                from concurrent.futures import ProcessPoolExecutor
-
-                from repro.perf.prep import prepare
-
-                def make_pool(jobs: int):
-                    prepare()
-                    return ProcessPoolExecutor(
-                        max_workers=jobs, initializer=_worker_init)
-
-                def _worker_init() -> None:
-                    # Post-fork: a thread here is the child's business.
-                    pump = threading.Thread(target=list)
-                    pump.start()
-            """,
-            "src/repro/perf/prep.py": """\
-                import threading
-
-                GUARDS = []
-
-                def prepare() -> None:
-                    GUARDS.append(threading.Lock())
-            """,
-        })
-        found = by_rule(report, "REP010")
-        assert len(found) == 1
-        assert found[0].path == "src/repro/perf/prep.py"
-        assert "pre-fork" in found[0].message
-
-    def test_thread_primitive_without_a_pool_is_fine(self, lint_tree):
-        # Same lock, but no module constructs a process pool: no
-        # pre-fork path exists, whatever the modules are called.
-        report = lint_tree({
-            "src/repro/campaign/pool.py": """\
-                from repro.perf.prep import prepare
-
-                def make_pool(jobs: int) -> int:
-                    prepare()
-                    return jobs
-            """,
-            "src/repro/perf/prep.py": """\
-                import threading
-
-                GUARDS = []
-
-                def prepare() -> None:
-                    GUARDS.append(threading.Lock())
-            """,
-        })
-        assert by_rule(report, "REP010") == []
-
-
-# ---------------------------------------------------------------------------
-# REP011 — facade typing and axis drift
+# REP011 — facade typing and record fields
 # ---------------------------------------------------------------------------
 
 
@@ -390,113 +328,36 @@ class TestRep011FacadeContract:
         })
         assert by_rule(report, "REP011") == []
 
-    def test_grid_axis_drift_across_modules(self, lint_tree):
+    def test_varargs_and_return_are_checked(self, lint_source):
+        # A file rule: the facade module alone is enough.
+        violations, _ = lint_source("src/repro/api.py", """\
+            def typed(a: int) -> int:
+                return a
+
+            def untyped(a, *rest, **kw):
+                return a
+        """)
+        messages = sorted(v.message for v in violations
+                          if v.rule == "REP011")
+        assert messages == [
+            f"public facade signature `untyped` leaves {what} "
+            f"unannotated"
+            for what in ("parameter `**kw`", "parameter `*rest`",
+                         "parameter `a`", "return type")]
+
+    def test_private_and_dunder_methods_exempt(self, lint_tree):
         report = lint_tree({
             "src/repro/api.py": """\
-                class ExperimentSpec:
-                    trials: int
-                    seed: int
-            """,
-            "src/repro/campaign/spec.py": """\
-                from repro.api import ExperimentSpec
+                class Box:
+                    def __init__(self, a):
+                        self.a = a
 
-                GRID_AXES = ("trials", "seed", "warp")
-            """,
-        })
-        found = by_rule(report, "REP011")
-        assert len(found) == 1
-        assert found[0].path == "src/repro/campaign/spec.py"
-        assert found[0].line == 3
-        assert "warp" in found[0].message
+                    def _grow(self, by):
+                        return by
 
-    def test_axes_in_sync_are_fine(self, lint_tree):
-        report = lint_tree({
-            "src/repro/api.py": """\
-                class ExperimentSpec:
-                    trials: int
-                    seed: int
-            """,
-            "src/repro/campaign/spec.py": """\
-                from repro.api import ExperimentSpec
-
-                GRID_AXES = ("trials", "seed")
-            """,
-        })
-        assert by_rule(report, "REP011") == []
-
-    def test_single_file_pass_cannot_see_the_drift(self, lint_tree):
-        report = lint_tree({
-            "src/repro/campaign/spec.py": """\
-                from repro.api import ExperimentSpec
-
-                GRID_AXES = ("trials", "seed", "warp")
-            """,
-        })
-        assert by_rule(report, "REP011") == []
-
-    def test_wire_field_without_spec_field(self, lint_tree):
-        report = lint_tree({
-            "src/repro/api.py": """\
-                class ExperimentSpec:
-                    trials: int
-                    seed: int
-            """,
-            "src/repro/serve/protocol.py": """\
-                from repro.api import ExperimentSpec
-
-                SPEC_WIRE_FIELDS = ("trials", "seed", "turbo")
-            """,
-        })
-        found = by_rule(report, "REP011")
-        assert len(found) == 1
-        assert found[0].path == "src/repro/serve/protocol.py"
-        assert found[0].line == 3
-        assert "turbo" in found[0].message
-
-    def test_grid_axis_missing_from_wire(self, lint_tree):
-        # The spec and grid agree; the wire tuple forgot an axis, so
-        # the server cannot express that campaign cell.
-        report = lint_tree({
-            "src/repro/api.py": """\
-                class ExperimentSpec:
-                    trials: int
-                    seed: int
-                    backend: str
-            """,
-            "src/repro/campaign/spec.py": """\
-                from repro.api import ExperimentSpec
-
-                GRID_AXES = ("trials", "seed", "backend")
-            """,
-            "src/repro/serve/protocol.py": """\
-                from repro.api import ExperimentSpec
-
-                SPEC_WIRE_FIELDS = ("trials", "seed")
-            """,
-        })
-        found = by_rule(report, "REP011")
-        assert len(found) == 1
-        assert found[0].path == "src/repro/serve/protocol.py"
-        assert "backend" in found[0].message
-        assert "campaign axis" in found[0].message
-
-    def test_wire_and_axes_in_sync_are_fine(self, lint_tree):
-        report = lint_tree({
-            "src/repro/api.py": """\
-                class ExperimentSpec:
-                    trials: int
-                    seed: int
-                    backend: str
-            """,
-            "src/repro/campaign/spec.py": """\
-                from repro.api import ExperimentSpec
-
-                GRID_AXES = ("trials", "seed", "backend")
-            """,
-            "src/repro/serve/protocol.py": """\
-                from repro.api import ExperimentSpec
-
-                SPEC_WIRE_FIELDS = ("trials", "seed", "backend")
+                class _Hidden:
+                    def run(self, x):
+                        return x
             """,
         })
         assert by_rule(report, "REP011") == []

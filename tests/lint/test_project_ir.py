@@ -42,39 +42,6 @@ class TestSummaries:
             {"top", "top.inner", "Box.get", "<module>"}
         assert summary.functions["Box.get"].cls == "Box"
 
-    def test_constants_and_their_lines(self):
-        summary = summarize("src/repro/m.py", """\
-            X = 1
-            AXES = ("a", "b")
-            TABLE = {"x", "y"}
-            NOT_LITERAL = len(AXES)
-        """)
-        assert summary.constants["AXES"] == ("a", "b")
-        assert summary.constant_lines["AXES"] == 2
-        assert summary.constants["TABLE"] == {"x", "y"}
-        assert "NOT_LITERAL" not in summary.constants
-
-    def test_missing_annotations(self):
-        summary = summarize("src/repro/m.py", """\
-            def typed(a: int) -> int:
-                return a
-
-            def untyped(a, *rest, **kw):
-                return a
-        """)
-        assert summary.functions["typed"].missing_annotations == ()
-        assert set(summary.functions["untyped"].missing_annotations) \
-            == {"a", "*rest", "**kw", "return"}
-
-    def test_init_return_is_not_required(self):
-        summary = summarize("src/repro/m.py", """\
-            class Box:
-                def __init__(self, a: int):
-                    self.a = a
-        """)
-        missing = summary.functions["Box.__init__"].missing_annotations
-        assert "return" not in missing
-
     def test_class_fields_from_annotations(self):
         summary = summarize("src/repro/m.py", """\
             class Spec:

@@ -1,4 +1,7 @@
-"""Good/bad fixture pairs for each reprolint rule (REP001-REP007)."""
+"""Good/bad fixture pairs for each reprolint rule (REP001-REP007).
+
+Fixtures under ``src/repro/campaign/`` annotate their signatures: the
+façade rule REP011 lints those modules too."""
 
 from tests.lint.conftest import rules_of
 
@@ -326,7 +329,7 @@ class TestCampaignPurity:
         violations, _ = lint_source("src/repro/campaign/foo.py", """\
             import os
 
-            def tag():
+            def tag() -> int:
                 return os.getpid()
             """)
         assert rules_of(violations) == ["REP007"]
@@ -337,7 +340,7 @@ class TestCampaignPurity:
             import socket
             import uuid
 
-            def tag():
+            def tag() -> tuple:
                 return socket.gethostname(), uuid.uuid4()
             """)
         assert rules_of(violations) == ["REP007", "REP007"]
@@ -346,7 +349,7 @@ class TestCampaignPurity:
         violations, _ = lint_source("src/repro/campaign/foo.py", """\
             import secrets
 
-            def tag():
+            def tag() -> str:
                 return secrets.token_hex(8)
             """)
         assert rules_of(violations) == ["REP007"]
@@ -356,7 +359,7 @@ class TestCampaignPurity:
         violations, _ = lint_source("src/repro/campaign/foo.py", """\
             import hashlib
 
-            def cell_digest(cell):
+            def cell_digest(cell: object) -> str:
                 text = f"{cell.experiment}:{cell.seed}"
                 return hashlib.sha256(text.encode()).hexdigest()
             """)
@@ -367,7 +370,7 @@ class TestCampaignPurity:
         violations, _ = lint_source("src/repro/campaign/foo.py", """\
             import hashlib
 
-            def make_digest(spec):
+            def make_digest(spec: object) -> str:
                 return hashlib.sha256(repr(spec).encode()).hexdigest()
             """)
         assert rules_of(violations) == ["REP007"]
@@ -377,7 +380,7 @@ class TestCampaignPurity:
             import hashlib
             import json
 
-            def cell_digest(preimage):
+            def cell_digest(preimage: dict) -> str:
                 canonical = json.dumps(preimage, sort_keys=True,
                                        separators=(",", ":"))
                 return hashlib.sha256(
@@ -387,7 +390,7 @@ class TestCampaignPurity:
 
     def test_good_fstring_in_digest_error_message(self, lint_source):
         violations, _ = lint_source("src/repro/campaign/foo.py", """\
-            def cell_digest(cell):
+            def cell_digest(cell: object) -> str:
                 if cell is None:
                     raise ValueError(f"bad cell: {cell!r}")
                 return "0" * 64

@@ -72,8 +72,8 @@ class TestWireSchemaPin:
         }
 
     def test_spec_wire_fields_mirror_experiment_spec(self):
-        # The runtime mirror of the REP011 drift check: every wire
-        # field is a spec field, and artifact paths never travel.
+        # The only guard of wire/spec drift: every wire field is a
+        # spec field, and artifact paths never travel.
         spec_fields = {f.name for f in
                        dataclasses.fields(ExperimentSpec)}
         assert set(SPEC_WIRE_FIELDS) <= spec_fields

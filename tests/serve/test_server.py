@@ -331,29 +331,29 @@ class TestPoolDrain:
             child.join(timeout=5)
             assert not child.is_alive()
 
-    def test_close_answers_queued_queries_503(self):
-        # One worker holds two tasks (running + the executor's call
-        # queue); the rest are still queued when the pool closes and
-        # answer 503, while the started ones finish normally.  The
-        # first query must outlast the 0.3 s before the close: in a
-        # warm process on a 2-vCPU host lemma7 takes about 0.7 s at 12
-        # trials, and 0.25 s at 4, which let every query start.
+    def test_close_answers_queued_queries_503(self, tmp_path,
+                                               monkeypatch):
+        # One worker holds the first query until the close has
+        # cancelled what is still queued.  The executor's call queue
+        # takes two more, so the last of four is still queued at the
+        # close whatever a query costs: it answers 503, while the held
+        # one finishes normally.
         from repro.api import ExperimentSpec
         from repro.serve.dispatch import Dispatcher
         from repro.serve.protocol import encode_query
+        from tests.serve.held_worker import (
+            close_while_first_query_holds, held_query_task)
 
+        monkeypatch.setattr("repro.serve.worker.run_query_task",
+                            held_query_task)
+        gate = tmp_path / "gate"
         wire = encode_query(RunQuery(name="lemma7",
-                                     spec=ExperimentSpec(trials=12)))
+                                     spec=ExperimentSpec(trials=4)))
 
         async def main():
-            dispatcher = Dispatcher(workers=1)
-            try:
-                tasks = [asyncio.ensure_future(dispatcher.dispatch(wire))
-                         for _ in range(4)]
-                await asyncio.sleep(0.3)
-            finally:
-                dispatcher.close()
-            return await asyncio.gather(*tasks, return_exceptions=True)
+            return await close_while_first_query_holds(
+                Dispatcher(workers=1),
+                [dict(wire, hold=str(gate)), wire, wire, wire], gate)
 
         outcomes = asyncio.run(main())
         statuses = [outcome.status if isinstance(outcome, ServiceError)
