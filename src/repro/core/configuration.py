@@ -19,24 +19,51 @@ from repro.geometry.transforms import Similarity, are_similar
 from repro.groups.detection import SymmetryReport
 from repro.groups.group import RotationGroup
 
-__all__ = ["Configuration"]
+__all__ = ["MAX_CENTRED_NORM", "Configuration", "coordinate_array"]
+
+# The largest distance from the centroid that float64 arithmetic in the
+# kernels survives.  The circumcentre of three points
+# (``repro.geometry.balls``) sums two products of five coordinate
+# differences, each at most twice that distance ``r``: ``2 * (2r)**5``
+# must stay below float64's maximum of 1.8e308, so ``r`` below 1.95e61.
+# Beyond it the products overflow to wrong balls and groups, or raise.
+MAX_CENTRED_NORM = 1.9e61
+
+
+def coordinate_array(points) -> np.ndarray:
+    """``points`` as a new ``(n, 3)`` float64 array the kernels can use.
+
+    Raises :class:`ConfigurationError` for an empty list, points that
+    are not 3-vectors, non-finite coordinates, and a point farther than
+    :data:`MAX_CENTRED_NORM` from the centroid.  The query server keys
+    its point lists through this check too, so a list no configuration
+    accepts is refused before it can share a key with an accepted one.
+    """
+    pts = [np.asarray(p, dtype=float) for p in points]
+    if not pts:
+        raise ConfigurationError("a configuration cannot be empty")
+    if any(p.shape != (3,) for p in pts):
+        raise ConfigurationError("points must be 3-vectors")
+    arr = np.array(pts)
+    if not np.isfinite(arr).all():
+        raise ConfigurationError("points must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = arr - arr.mean(axis=0)
+        radius = np.sqrt(np.einsum("ij,ij->i", rel, rel).max())
+    if not radius < MAX_CENTRED_NORM:
+        raise ConfigurationError(
+            f"coordinates too large for float64 arithmetic: points must "
+            f"stay within {MAX_CENTRED_NORM:.2g} of their centroid")
+    return arr
 
 
 class Configuration:
     """An immutable multiset of robot positions in 3-space."""
 
     def __init__(self, points, tol: Tolerance = DEFAULT_TOL) -> None:
-        pts = [np.asarray(p, dtype=float) for p in points]
-        if not pts:
-            raise ConfigurationError("a configuration cannot be empty")
-        for p in pts:
-            if p.shape != (3,):
-                raise ConfigurationError("points must be 3-vectors")
-            if not np.all(np.isfinite(p)):
-                raise ConfigurationError("points must be finite")
-        self._points = [p.copy() for p in pts]
-        for p in self._points:
-            p.setflags(write=False)
+        arr = coordinate_array(points)
+        arr.setflags(write=False)
+        self._points = list(arr)
         self._tol = tol
 
     # ------------------------------------------------------------------

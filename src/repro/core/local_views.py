@@ -28,15 +28,13 @@ from repro.geometry.tolerance import (
     DEFAULT_TOL,
     canonical_round,
 )
+from repro.geometry.vectors import cross
 from repro.groups.group import RotationGroup
 
 __all__ = ["local_view", "ordered_orbits"]
 
 _DECIMALS = 6
 _SLACK = DEFAULT_TOL.geometric_slack(1.0)
-# Cyclic shifts of (x, y, z), for the cross product.
-_YZX = np.array([1, 2, 0])
-_ZXY = np.array([2, 0, 1])
 
 
 def _round(x: float) -> float:
@@ -126,7 +124,7 @@ def _compute_local_view(memo: _ViewMemo, index: int) -> tuple:
     perp_unit_len = np.linalg.norm(perp_units, axis=1)
 
     meridians = perp[candidates] / perp_len[candidates, None]   # (c, 3)
-    binormals = _cross(axis, meridians)                         # (c, 3)
+    binormals = cross(axis, meridians)                          # (c, 3)
     longitudes = np.arctan2(perp_units @ binormals.T,
                             perp_units @ meridians.T)           # (n, c)
     longitudes %= 2.0 * np.pi
@@ -182,17 +180,6 @@ def _best_meridian(index: int, candidates: np.ndarray,
     table = np.stack((lon_t[np.arange(t)[:, None], order],
                       lat_r[order]), axis=-1)                   # (t, n, 2)
     return int(tied[_smallest_rows(table.reshape(t, 2 * n))[0]])
-
-
-def _cross(axis: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``np.cross(axis, vectors)`` row by row, without its call overhead.
-
-    Component ``k`` is ``axis[k+1] * v[k+2] - axis[k+2] * v[k+1]``
-    (indices mod 3): the products and difference ``np.cross`` forms,
-    so the same bits.
-    """
-    return np.ascontiguousarray(axis[_YZX] * vectors[:, _ZXY]
-                                - axis[_ZXY] * vectors[:, _YZX])
 
 
 def _meridian_candidates(gaps: np.ndarray,

@@ -19,6 +19,7 @@ embedding of the formation algorithm.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,14 +52,16 @@ class Symmetricity:
     witnesses:
         Concrete subgroup arrangements of ``γ(P)`` realizing each
         spec (finite case; empty for collinear/degenerate inputs,
-        where axes are not pinned down by the configuration).
+        where axes are not pinned down by the configuration).  A
+        read-only mapping: an L1 hit builds a spec's arrangements
+        when it is first read.
     report:
         The underlying symmetry report (contains ``γ(P)``).
     """
 
     specs: set[GroupSpec]
     maximal: list[GroupSpec]
-    witnesses: dict[GroupSpec, list[RotationGroup]] = field(
+    witnesses: Mapping[GroupSpec, list[RotationGroup]] = field(
         default_factory=dict)
     report: SymmetryReport | None = None
 

@@ -25,7 +25,12 @@ __all__ = [
     "are_parallel",
     "are_perpendicular",
     "centroid",
+    "cross",
 ]
+
+# Cyclic shifts of (x, y, z), for the cross product.
+_YZX = np.array([1, 2, 0])
+_ZXY = np.array([2, 0, 1])
 
 
 def as_vector(v) -> np.ndarray:
@@ -72,6 +77,20 @@ def angle_between(a, b, tol: Tolerance = DEFAULT_TOL) -> float:
 def is_unit(v, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Return True if ``v`` has unit length within tolerance."""
     return tol.close(float(np.linalg.norm(as_vector(v))), 1.0)
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross(a, b)`` over the last axis, without its call overhead.
+
+    ``a`` and ``b`` are 3-vectors or ``(k, 3)`` rows that broadcast
+    against each other.  Component ``k`` is ``a[k+1] * b[k+2] -
+    a[k+2] * b[k+1]`` (indices mod 3): the products and difference
+    ``np.cross`` forms, so the same bits in a C-ordered array.
+    ``np.cross``'s argument handling costs more than the arithmetic
+    for the handful of rows the kernels pass.
+    """
+    return np.ascontiguousarray(a[..., _YZX] * b[..., _ZXY]
+                                - a[..., _ZXY] * b[..., _YZX])
 
 
 def are_parallel(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:

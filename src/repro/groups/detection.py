@@ -49,6 +49,7 @@ from repro.errors import DetectionError
 from repro.geometry.balls import smallest_enclosing_ball
 from repro.geometry.neighbors import neighbor_index
 from repro.geometry.tolerance import AXIS_NORM_FLOOR, DEFAULT_TOL, Tolerance
+from repro.geometry.vectors import cross
 from repro.groups.axes import RotationAxis
 from repro.groups.group import (
     RotationGroup,
@@ -265,7 +266,7 @@ def _common_line(rel, radii, slack: float) -> np.ndarray | None:
         return None
     first = int(np.argmax(off))
     direction = rel[first] / radii[first]
-    perp = np.linalg.norm(np.cross(direction, rel[off]), axis=1)
+    perp = np.linalg.norm(cross(direction, rel[off]), axis=1)
     if bool((perp > slack * 10).any()):
         return None
     return direction
@@ -276,7 +277,7 @@ def _axis_occupied(axis: RotationAxis, rel, radii, slack: float,
     """True if the axis line contains a point of the configuration."""
     if center_occupied:
         return True
-    perp = np.linalg.norm(np.cross(axis.direction, rel), axis=1)
+    perp = np.linalg.norm(cross(axis.direction, rel), axis=1)
     return bool(((radii > slack) & (perp <= 10 * slack)).any())
 
 
@@ -316,8 +317,8 @@ def _axes_occupied(axes: list[RotationAxis], rel, radii, slack: float,
             flags[start:start + len(chunk)] = \
                 (perp_sq <= bound_sq).any(axis=1)
         else:
-            cross = np.cross(chunk[:, None, :], pts[None, :, :])
-            perp = np.linalg.norm(cross, axis=2)
+            perp = np.linalg.norm(
+                cross(chunk[:, None, :], pts[None, :, :]), axis=2)
             flags[start:start + len(chunk)] = \
                 (perp <= 10 * slack).any(axis=1)
     return [bool(flag) for flag in flags]
@@ -459,7 +460,7 @@ def _symmetry_rotations(rel, mults, radii, slack: float,
     p2_index = second_shell = None
     for k in by_size:
         members = shell(k)
-        norms = np.linalg.norm(np.cross(p1, rel[members]), axis=1)
+        norms = np.linalg.norm(cross(p1, rel[members]), axis=1)
         independent = np.nonzero(norms > check_slack * r1)[0]
         if independent.size:
             p2_index = int(members[independent[0]])
@@ -526,7 +527,7 @@ def _nearest_independent(p1, r1: float, fallback: int, rel, idx_sorted,
     nearest one: a short reference pair means a small separation bound
     and therefore small ball queries in :func:`_pruned_pairs`.
     """
-    norms = np.linalg.norm(np.cross(p1, rel[idx_sorted]), axis=1)
+    norms = np.linalg.norm(cross(p1, rel[idx_sorted]), axis=1)
     independent = norms > check_slack * r1
     if not independent.any():
         return fallback
@@ -685,7 +686,7 @@ def _verify_by_closure(candidates: np.ndarray, verifier: _BatchVerifier,
 def _cyclic_about_fixed_point(p1, rel, radii, mults, slack, verifier):
     """All symmetries fix ``p1``: the group is cyclic about its axis."""
     axis = p1 / float(np.linalg.norm(p1))
-    off = np.linalg.norm(np.cross(axis, rel), axis=1) > 10 * slack
+    off = np.linalg.norm(cross(axis, rel), axis=1) > 10 * slack
     idx_sorted, bounds = _shell_slices(radii, mults, slack)
     if idx_sorted.size:
         shell_sums = np.add.reduceat(off[idx_sorted].astype(np.int64),
@@ -713,14 +714,14 @@ def _rotations_from_pairs(p1, p2, q1s, q2s) -> np.ndarray:
     Degenerate image pairs (parallel within float noise) are dropped;
     the result is a ``(k, 3, 3)`` stack.
     """
-    n_p = np.cross(p1, p2)
+    n_p = cross(p1, p2)
     ln_p = float(np.linalg.norm(n_p))
     frame_p = _orthoframe(p1, n_p)
     if ln_p < AXIS_NORM_FLOOR or frame_p is None:
         return np.zeros((0, 3, 3))
     q1s = np.asarray(q1s, dtype=float).reshape(-1, 3)
     q2s = np.asarray(q2s, dtype=float).reshape(-1, 3)
-    n_q = np.cross(q1s, q2s)
+    n_q = cross(q1s, q2s)
     ln_q = np.linalg.norm(n_q, axis=1)
     l_q1 = np.linalg.norm(q1s, axis=1)
     valid = (ln_q >= AXIS_NORM_FLOOR) & (l_q1 >= AXIS_NORM_FLOOR)
@@ -728,7 +729,7 @@ def _rotations_from_pairs(p1, p2, q1s, q2s) -> np.ndarray:
         return np.zeros((0, 3, 3))
     e0 = q1s[valid] / l_q1[valid, None]
     e2 = n_q[valid] / ln_q[valid, None]
-    e1 = np.cross(e2, e0)
+    e1 = cross(e2, e0)
     frames_q = np.stack([e0, e1, e2], axis=2)
     return frames_q @ frame_p.T
 
@@ -740,7 +741,7 @@ def _orthoframe(x, n) -> np.ndarray | None:
         return None
     e0 = x / lx
     e2 = n / ln
-    e1 = np.cross(e2, e0)
+    e1 = cross(e2, e0)
     return np.column_stack([e0, e1, e2])
 
 
@@ -774,7 +775,7 @@ def align_rotation(src_rel, src_mults, src_radii,
     r1 = float(src_radii[anchor[0]])
     p2_index = None
     for shell in [anchor] + shells[1:]:
-        norms = np.linalg.norm(np.cross(p1, src_rel[shell]), axis=1)
+        norms = np.linalg.norm(cross(p1, src_rel[shell]), axis=1)
         independent = np.nonzero(norms > check_slack * r1)[0]
         if independent.size:
             p2_index = int(shell[independent[0]])

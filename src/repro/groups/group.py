@@ -236,7 +236,8 @@ class RotationGroup:
     Parameters
     ----------
     elements:
-        Iterable of 3x3 rotation matrices, including the identity.
+        Sequence of 3x3 rotation matrices, including the identity; a
+        float ``(k, 3, 3)`` array is used as given (not copied).
         Duplicates (within tolerance) are merged.
     spec:
         Optional pre-computed :class:`GroupSpec`; read off the folds of
@@ -250,11 +251,12 @@ class RotationGroup:
                  tol: Tolerance = DEFAULT_TOL,
                  validate: bool = False) -> None:
         self._tol = tol
-        stacked = np.asarray([np.asarray(mat, dtype=float)
-                              for mat in elements], dtype=float)
-        if stacked.size and stacked.shape[1:] != (3, 3):
+        stacked = np.asarray(elements, dtype=float)
+        if not stacked.size:
+            stacked = np.zeros((0, 3, 3))
+        elif stacked.shape[1:] != (3, 3):
             raise GroupError("group element is not a rotation matrix")
-        mats: list[np.ndarray] = []
+        kept: list[int] = []
         key_index: dict[tuple, int] = {}
         if stacked.size:
             # Validate the whole batch at once: orthogonality and
@@ -268,20 +270,21 @@ class RotationGroup:
             if not bool((ortho & proper).all()):
                 raise GroupError("group element is not a rotation matrix")
             keys = np.round(stacked.reshape(len(stacked), 9), 5) + 0.0
-            for row, arr in zip(keys.tolist(), stacked):
+            for index, row in enumerate(keys.tolist()):
                 key = tuple(row)
                 if key not in key_index:
-                    key_index[key] = len(mats)
-                    mats.append(arr)
-        has_identity = bool(mats) and bool(
-            (np.abs(np.asarray(mats) - np.eye(3)).max(axis=(1, 2))
+                    key_index[key] = len(kept)
+                    kept.append(index)
+        stack = stacked if len(kept) == len(stacked) else stacked[kept]
+        has_identity = bool(
+            (np.abs(stack - np.eye(3)).max(axis=(1, 2))
              <= DEFAULT_TOL.geometric_slack(1.0)).any())
         if not has_identity:
             identity = np.eye(3)
-            key_index[element_key(identity)] = len(mats)
-            mats.append(identity)
-        self.elements: list[np.ndarray] = mats
-        self._stack = np.asarray(mats, dtype=float).reshape(-1, 3, 3)
+            key_index[element_key(identity)] = len(stack)
+            stack = np.concatenate([stack, identity[None]])
+        self._stack = stack
+        self.elements: list[np.ndarray] = list(stack)
         self._element_keys = set(key_index)
         if validate:
             self._check_closure()
@@ -289,7 +292,7 @@ class RotationGroup:
             axes if axes is not None else self._derive_axes())
         if spec is None:
             derived = self.axes if axes is None else self._derive_axes()
-            spec = spec_from_folds(len(mats), [a.fold for a in derived])
+            spec = spec_from_folds(len(stack), [a.fold for a in derived])
         self.spec = spec
         if axes is None:
             self._apply_structural_orientation()
@@ -418,9 +421,15 @@ class RotationGroup:
         return int((image_keys == key).all(axis=1).sum())
 
     def transformed(self, rotation) -> "RotationGroup":
-        """Conjugate group ``R G R^T`` (the arrangement rotated by R)."""
+        """Conjugate group ``R G R^T`` (the arrangement rotated by R).
+
+        One product over the element stack: NumPy's matmul takes a
+        stack one matrix at a time through the BLAS call that
+        ``rot @ mat @ rot.T`` makes, so each conjugate has the bits of
+        the per-element form.
+        """
         rot = np.asarray(rotation, dtype=float)
-        new_elements = [rot @ mat @ rot.T for mat in self.elements]
+        new_elements = rot @ self._stack @ rot.T
         new_axes = [
             RotationAxis(direction=rot @ a.direction, fold=a.fold,
                          oriented=a.oriented, occupied=a.occupied)

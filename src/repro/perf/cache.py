@@ -14,7 +14,8 @@ Three caches, all invalidated together by :func:`clear_caches`:
   appended as a sibling entry under the same structural key.
 * **symmetricity** — ``ϱ(P)`` results attached to symmetry entries.
   Specs are congruence invariants and are shared; witness arrangements
-  are stored in the canonical frame and conjugated per query.
+  are stored in the canonical frame, and a hit conjugates a spec's
+  arrangements into the query's frame only when a caller reads them.
 * **subgroups** — concrete subgroup lattices (in the order
   :func:`repro.groups.subgroups.enumerate_concrete_subgroups`
   documents) keyed by the exact element-key set of the group
@@ -37,6 +38,7 @@ history-dependent (conjugation-noisy) L1 state.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -222,6 +224,42 @@ def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
     return report
 
 
+class _ConjugatedWitnesses(Mapping):
+    """The ``ϱ(P)`` witnesses of an L1 hit, conjugated on first read.
+
+    Holds the class entry's canonical witnesses and the query's
+    alignment rotation.  The first read of a spec conjugates that
+    spec's arrangements (:meth:`RotationGroup.transformed`) and keeps
+    them; most queries read none.  Two threads reading one spec at
+    once (``workers=0`` serves on threads) may both conjugate: the
+    lists are equal bit for bit, and ``setdefault`` keeps the first.
+    """
+
+    __slots__ = ("_canonical", "_rotation", "_read")
+
+    def __init__(self, canonical: dict, rotation: np.ndarray) -> None:
+        self._canonical = canonical
+        self._rotation = rotation
+        self._read: dict = {}
+
+    def __getitem__(self, spec):
+        arrangements = self._read.get(spec)
+        if arrangements is None:
+            arrangements = self._read.setdefault(spec, [
+                w.transformed(self._rotation)
+                for w in self._canonical[spec]])
+        return arrangements
+
+    def __contains__(self, spec) -> bool:
+        return spec in self._canonical
+
+    def __iter__(self):
+        return iter(self._canonical)
+
+    def __len__(self) -> int:
+        return len(self._canonical)
+
+
 def cached_symmetricity(config, report, tol: Tolerance, compute):
     """Serve ``ϱ(P)`` from the report's congruence-class entry.
 
@@ -229,7 +267,9 @@ def cached_symmetricity(config, report, tol: Tolerance, compute):
     (dependency-injected to keep the import graph acyclic).  The first
     call of a class runs it and stores the result with witnesses
     rotated back into the canonical frame; later calls of the class
-    conjugate the stored witnesses by the query's alignment rotation.
+    share its specs and conjugate a spec's stored witnesses by the
+    query's alignment rotation when a caller reads them
+    (:class:`_ConjugatedWitnesses`).
     """
     entry = getattr(report, "_perf_entry", None)
     if not _enabled or entry is None:
@@ -268,12 +308,10 @@ def cached_symmetricity(config, report, tol: Tolerance, compute):
         return result
     _stats["symmetricity"]["hits"] += 1
     specs, maximal, canonical_witnesses = entry.symmetricity
-    witnesses = {
-        spec: [w.transformed(rotation) for w in arrangements]
-        for spec, arrangements in canonical_witnesses.items()
-    }
     return Symmetricity(specs=set(specs), maximal=list(maximal),
-                        witnesses=witnesses, report=report)
+                        witnesses=_ConjugatedWitnesses(canonical_witnesses,
+                                                       rotation),
+                        report=report)
 
 
 def _subgroups_via_l3(group, tol: Tolerance, compute) -> list:

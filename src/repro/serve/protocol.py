@@ -35,6 +35,7 @@ server fork a pool inside its pool.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 from repro.api import (
@@ -76,16 +77,35 @@ def _encode_points(points: Any) -> Any:
     return [list(row) for row in points]
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number: an ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _decode_points(value: Any, what: str) -> Any:
+    """A pattern name, or a non-empty list of rows of three finite
+    numbers as coordinate tuples; :class:`ReproError` for anything
+    else (ragged or short rows, an empty list, strings or booleans
+    as coordinates, NaN, infinities, integers beyond float64)."""
     if isinstance(value, str):
         return value
-    if isinstance(value, list):
+    problem = (f"wire query field {what!r} must be a pattern name or a "
+               f"non-empty list of [x, y, z] rows of finite numbers")
+    if not isinstance(value, list) or not value:
+        raise ReproError(problem)
+    rows = []
+    for row in value:
+        if not (isinstance(row, list) and len(row) == 3
+                and all(_is_number(c) for c in row)):
+            raise ReproError(problem)
         try:
-            return tuple(tuple(float(c) for c in row) for row in value)
-        except (TypeError, ValueError):
-            pass
-    raise ReproError(f"wire query field {what!r} must be a pattern "
-                     f"name or a list of coordinate rows")
+            coords = tuple(float(c) for c in row)
+        except OverflowError:
+            raise ReproError(problem) from None
+        if not all(math.isfinite(c) for c in coords):
+            raise ReproError(problem)
+        rows.append(coords)
+    return tuple(rows)
 
 
 def encode_query(query: Query) -> dict:
@@ -116,14 +136,15 @@ def encode_query(query: Query) -> dict:
 def _check_envelope(wire: Mapping[str, Any]) -> None:
     if not isinstance(wire, Mapping):
         raise ReproError("wire query must be a JSON object")
+    # Versions are JSON integers; ``type`` rather than ``isinstance``
+    # because a bool is an ``int`` subclass and no version.
     wire_schema = wire.get("wire_schema")
-    if not isinstance(wire_schema, int) or \
-            wire_schema > WIRE_SCHEMA_VERSION:
+    if type(wire_schema) is not int or wire_schema > WIRE_SCHEMA_VERSION:
         raise ReproError(
             f"unsupported wire_schema {wire_schema!r} "
             f"(this server speaks {WIRE_SCHEMA_VERSION})")
     schema = wire.get("schema_version", API_SCHEMA_VERSION)
-    if not isinstance(schema, int) or schema > API_SCHEMA_VERSION:
+    if type(schema) is not int or schema > API_SCHEMA_VERSION:
         raise ReproError(
             f"unsupported schema_version {schema!r} "
             f"(this server speaks {API_SCHEMA_VERSION})")
@@ -144,10 +165,13 @@ def decode_query(wire: Mapping[str, Any]) -> Query:
             target=_decode_points(wire.get("target"), "target"),
             schema_version=schema)
     if kind == "symmetricity":
+        multiset = wire.get("multiset", False)
+        if not isinstance(multiset, bool):
+            raise ReproError(f"wire query field 'multiset' must be a "
+                             f"boolean, got {multiset!r}")
         return SymmetricityQuery(
             points=_decode_points(wire.get("points"), "points"),
-            multiset=bool(wire.get("multiset", False)),
-            schema_version=schema)
+            multiset=multiset, schema_version=schema)
     if kind == "run":
         name = wire.get("name")
         if not isinstance(name, str):
@@ -218,13 +242,18 @@ def _canonical_point_bytes(points: Any) -> "tuple[Any, Any]":
     Center-relative, scaled to unit max radius, rows ordered
     lexicographically — a pure, rounding-free function of the point
     multiset, so congruent inputs with exactly-representable
-    translations/scales canonicalize to identical bytes.
+    translations/scales canonicalize to identical bytes.  Points no
+    :class:`~repro.core.configuration.Configuration` accepts raise its
+    :class:`ConfigurationError` here: scaled far enough, a pattern
+    keeps its unit copy's key but no longer has its answer.
     """
     import numpy as np
 
-    arr = np.asarray(points, dtype=float).reshape(len(points), -1)
+    from repro.core.configuration import coordinate_array
+
+    arr = coordinate_array(points)
     rel = arr - arr.mean(axis=0)
-    scale = float(np.max(np.linalg.norm(rel, axis=1))) if len(rel) else 0.0
+    scale = float(np.max(np.linalg.norm(rel, axis=1)))
     if scale > 0.0:
         rel = rel / scale
     order = np.lexsort((rel[:, 2], rel[:, 1], rel[:, 0]))

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.configuration import Configuration
+from repro.core.configuration import MAX_CENTRED_NORM, Configuration
+from repro.core.symmetricity import symmetricity
 from repro.errors import ConfigurationError
 from repro.geometry.transforms import Similarity
 from tests.conftest import generic_cloud
@@ -37,6 +38,46 @@ class TestConstruction:
         config = Configuration(src)
         src[0][0] = 42.0
         assert config.points[0][0] == 0.0
+
+    def test_points_cannot_be_made_writable(self, cube):
+        point = Configuration(cube).points[0]
+        with pytest.raises(ValueError):
+            point.setflags(write=True)
+
+    @pytest.mark.parametrize("scale", [1e308, 1e154, 1e100, 1e62])
+    def test_overflowing_coordinates_rejected(self, cube, scale):
+        """Beyond centred norms of about 1.9e61 the circumball kernel's
+        products of five coordinate differences can overflow float64;
+        such inputs are refused up front, not answered wrong or with a
+        NumPy error."""
+        with pytest.raises(ConfigurationError, match="too large"):
+            Configuration([scale * p for p in cube])
+        with pytest.raises(ConfigurationError, match="too large"):
+            Configuration([scale * p for p in cube] + [np.zeros(3)])
+
+    def test_bound_is_the_centred_norm(self):
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        assert Configuration(0.99 * MAX_CENTRED_NORM * axes).n == 6
+        with pytest.raises(ConfigurationError, match="too large"):
+            Configuration(1.01 * MAX_CENTRED_NORM * axes)
+
+    def test_overflowing_centroid_rejected(self):
+        with pytest.raises(ConfigurationError, match="too large"):
+            Configuration([[1.7e308, 0, 0], [1.7e308, 1, 0],
+                           [1.7e308, 0, 1]])
+
+    def test_large_and_far_configurations_accepted(self, cube):
+        assert Configuration([1e50 * p for p in cube]).n == 8
+        # Far from the origin but compact: the centred norms are small.
+        assert Configuration([p + 1e45 for p in cube]).n == 8
+
+    def test_large_cube_keeps_its_symmetry(self, cube):
+        """Centred norms of 1e55 are inside the bound: the answers are
+        the unit cube's."""
+        config = Configuration([1e55 * p for p in cube])
+        assert str(config.symmetry.group.spec) == "O"
+        assert symmetricity(config).specs == \
+            symmetricity(Configuration(cube)).specs
 
 
 class TestDerivedGeometry:

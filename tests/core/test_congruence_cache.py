@@ -1,12 +1,17 @@
 """Behavior of the congruence caches (:mod:`repro.perf`)."""
 
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro import perf
 from repro.core.configuration import Configuration
-from repro.core.symmetricity import symmetricity
+from repro.core.symmetricity import symmetricity, symmetricity_of_multiset
 from repro.geometry.rotations import rotation_about_axis
+from repro.groups.group import GroupSpec, RotationGroup, element_key
 from repro.patterns.library import named_pattern
 from repro.patterns import polyhedra
 from repro.robots.adversary import random_frames
@@ -107,6 +112,22 @@ class TestSymmetricityCache:
         for element in witness.elements:
             assert gamma.contains_element(element)
 
+    def test_hit_shares_specs_and_defers_witnesses(self):
+        points = named_pattern("cube")
+        symmetricity(Configuration(points))
+        rho = symmetricity(Configuration(_congruent_copy(points, 5)))
+        assert perf.cache_stats()["symmetricity"]["hits"] == 1
+        assert not isinstance(rho.witnesses, dict)
+        assert rho.witnesses._read == {}
+        spec = max(rho.specs)
+        assert spec in rho.witnesses
+        assert rho.witnesses._read == {}
+        assert rho.witness(spec) is rho.witnesses[spec][0]
+        assert list(rho.witnesses._read) == [spec]
+        with pytest.raises(KeyError):
+            rho.witnesses[GroupSpec.parse("C7")]
+        assert rho.witnesses.get(GroupSpec.parse("C7")) is None
+
     def test_subgroup_enumeration_memoized(self):
         from repro.groups.subgroups import enumerate_concrete_subgroups
 
@@ -164,3 +185,141 @@ class TestSchedulerIntegration:
         else:
             # Robots share the round's Compute.
             assert delta("round", "hits") >= n - 1
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=float).tobytes()
+
+
+def _eager_conjugate(group, rotation):
+    """The per-element conjugation every ϱ hit used to run for every
+    witness: ``rot @ mat @ rot.T`` per element, ``rot @ d`` per axis."""
+    return ([rotation @ mat @ rotation.T for mat in group.elements],
+            [rotation @ axis.direction for axis in group.axes])
+
+
+WITNESS_PATTERNS = ["cube", "octahedron", "icosahedron", "tetrahedron",
+                    "square_antiprism", "octagon", "pentagonal_prism",
+                    "dodecahedron"]
+
+
+class TestWitnessesConjugatedOnRead:
+    """An L1 ϱ hit hands out its witnesses as a mapping that conjugates
+    a spec's canonical arrangements on first read."""
+
+    @pytest.mark.parametrize("name", WITNESS_PATTERNS)
+    def test_lazy_read_matches_eager_conjugation_bit_for_bit(self, name):
+        points = named_pattern(name)
+        rho_first = symmetricity(Configuration(points))
+        for seed in range(4):
+            config = Configuration(_congruent_copy(points, seed))
+            rho = symmetricity(config)
+            assert rho.specs == rho_first.specs
+            assert rho.maximal == rho_first.maximal
+            report = config.symmetry
+            canonical = report._perf_entry.symmetricity[2]
+            rotation = report._perf_rotation
+            served = dict(rho.witnesses.items())
+            assert set(served) == set(canonical) == set(rho_first.witnesses)
+            for spec, arrangements in served.items():
+                assert len(arrangements) == len(canonical[spec])
+                for lazy, stored in zip(arrangements, canonical[spec]):
+                    elements, directions = _eager_conjugate(stored,
+                                                            rotation)
+                    assert lazy.spec == stored.spec == spec
+                    assert [_bits(m) for m in lazy.elements] == \
+                        [_bits(m) for m in elements]
+                    assert [_bits(a.direction) for a in lazy.axes] == \
+                        [_bits(d) for d in directions]
+                    assert [(a.fold, a.oriented, a.occupied)
+                            for a in lazy.axes] == \
+                        [(a.fold, a.oriented, a.occupied)
+                         for a in stored.axes]
+                    assert lazy._element_keys == {
+                        element_key(m) for m in elements}
+        assert perf.cache_stats()["symmetricity"] == {"hits": 4,
+                                                      "misses": 1}
+
+    def test_multiset_target_witnesses_match_on_read(self):
+        points = named_pattern("cube") + [np.zeros(3)] * 8
+        symmetricity_of_multiset(Configuration(points))
+        config = Configuration(_congruent_copy(points, 9))
+        rho = symmetricity_of_multiset(config)
+        assert perf.cache_stats()["symmetricity"]["hits"] == 1
+        canonical = config.symmetry._perf_entry.symmetricity[2]
+        rotation = config.symmetry._perf_rotation
+        assert set(rho.witnesses) == set(canonical) != set()
+        for spec in rho.witnesses:
+            elements, _ = _eager_conjugate(canonical[spec][0], rotation)
+            assert [_bits(m) for m in rho.witness(spec).elements] == \
+                [_bits(m) for m in elements]
+
+    def test_unread_hit_builds_only_gamma(self, monkeypatch):
+        points = named_pattern("icosahedron")
+        symmetricity(Configuration(points))
+        built = []
+        original = RotationGroup.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RotationGroup, "__init__", counting)
+        config = Configuration(_congruent_copy(points, 3))
+        rho = symmetricity(config)
+        assert perf.cache_stats()["symmetricity"]["hits"] == 1
+        assert built == [config.symmetry.group]
+        assert rho.maximal and rho.specs
+        spec = max(rho.specs)
+        witness = rho.witness(spec)
+        assert len(built) == 1 + len(rho.witnesses[spec])
+        assert witness is built[1]
+
+    def test_hit_survives_pickling(self):
+        points = named_pattern("octahedron")
+        symmetricity(Configuration(points))
+        rho = symmetricity(Configuration(_congruent_copy(points, 4)))
+        spec = max(rho.specs)
+        rho.witness(spec)                  # one spec read, the rest not
+        clone = pickle.loads(pickle.dumps(rho))
+        assert clone.specs == rho.specs
+        assert clone.maximal == rho.maximal
+        assert set(clone.witnesses) == set(rho.witnesses)
+        for read, copied in zip(rho.witnesses.items(),
+                                clone.witnesses.items()):
+            assert read[0] == copied[0]
+            assert [_bits(g._stack) for g in read[1]] == \
+                [_bits(g._stack) for g in copied[1]]
+
+    def test_concurrent_first_reads_share_one_list(self):
+        """``workers=0`` serves on threads: racing first reads of one
+        spec may both conjugate, but every reader gets the one list
+        the memo kept."""
+        points = named_pattern("icosahedron")
+        symmetricity(Configuration(points))
+        rho = symmetricity(Configuration(_congruent_copy(points, 6)))
+        specs = list(rho.witnesses)
+        results = [None] * 8
+        start = threading.Barrier(len(results))
+
+        def read(slot):
+            start.wait(timeout=30)
+            results[slot] = [rho.witnesses[spec] for spec in specs]
+
+        threads = [threading.Thread(target=read, args=(slot,))
+                   for slot in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for result in results:
+            assert all(mine is kept for mine, kept
+                       in zip(result, results[0]))
+        assert all(rho.witnesses._read[spec] is arrangements
+                   for spec, arrangements in zip(specs, results[0]))

@@ -9,6 +9,7 @@ from repro.geometry.vectors import (
     are_parallel,
     are_perpendicular,
     centroid,
+    cross,
     distance,
     is_unit,
     norm,
@@ -96,3 +97,31 @@ class TestCentroid:
     def test_empty_raises(self):
         with pytest.raises(GeometryError):
             centroid([])
+
+
+class TestCross:
+    """``cross`` is ``np.cross`` over the last axis, bit for bit."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        return a.shape == b.shape and a.flags.c_contiguous \
+            and a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+    def test_matches_np_cross_bit_for_bit(self, rng):
+        for k in (1, 2, 7, 64):
+            a = rng.normal(size=(k, 3)) * 10.0 ** rng.integers(-8, 8)
+            b = rng.normal(size=(k, 3))
+            assert self._same_bits(cross(a, b), np.cross(a, b))
+            # One vector against rows, either way round.
+            assert self._same_bits(cross(a[0], b), np.cross(a[0], b))
+            assert self._same_bits(cross(a, b[0]), np.cross(a, b[0]))
+            assert self._same_bits(cross(a[0], b[0]), np.cross(a[0], b[0]))
+            # Every row against every row, by broadcasting.
+            grid_a, grid_b = a[:, None, :], b[None, :, :]
+            assert self._same_bits(cross(grid_a, grid_b),
+                                   np.cross(grid_a, grid_b))
+
+    def test_right_handed(self):
+        x, y, z = np.eye(3)
+        assert np.array_equal(cross(x, y), z)
+        assert np.array_equal(cross(y, x), -z)

@@ -5,9 +5,11 @@ import pytest
 
 from repro.errors import GroupError
 from repro.geometry.rotations import rotation_about_axis
+from repro.geometry.rotations import random_rotation
 from repro.groups.catalog import (
     cyclic_group,
     dihedral_group,
+    icosahedral_group,
     octahedral_group,
     tetrahedral_group,
 )
@@ -100,3 +102,48 @@ class TestRotationGroupMethods:
         group = dihedral_group(3)
         # A point on the principal axis has a 2-point orbit.
         assert len(group.orbit([0, 0, 1.5])) == 2
+
+
+class TestStackedConjugation:
+    """``transformed`` conjugates the whole element stack in one
+    product; it must give the bits of the per-element form."""
+
+    GROUPS = ([cyclic_group(k) for k in (1, 2, 3, 5, 8)]
+              + [dihedral_group(l) for l in (2, 3, 4, 7)]
+              + [tetrahedral_group(), octahedral_group(),
+                 icosahedral_group()])
+
+    def test_matches_per_element_form_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(100):
+            rot = random_rotation(rng)
+            for group in self.GROUPS:
+                image = group.transformed(rot)
+                expected = np.asarray([rot @ mat @ rot.T
+                                       for mat in group.elements])
+                assert image.order == group.order
+                assert image._stack.tobytes() == expected.tobytes()
+                assert all(a.tobytes() == b.tobytes() for a, b
+                           in zip(image.elements, expected))
+                assert image._element_keys == {
+                    tuple(row) for row in
+                    (np.round(expected.reshape(-1, 9), 5) + 0.0).tolist()}
+                assert image.spec == group.spec
+                for moved, axis in zip(image.axes, group.axes):
+                    assert moved.direction.tobytes() == \
+                        (rot @ axis.direction).tobytes()
+                    assert (moved.fold, moved.oriented, moved.occupied) == \
+                        (axis.fold, axis.oriented, axis.occupied)
+
+    def test_stack_input_is_used_as_given(self):
+        stack = octahedral_group()._stack.copy()
+        group = RotationGroup(stack)
+        assert group._stack is stack
+        assert group.spec == GroupSpec.parse("O")
+
+    def test_stack_gains_identity_and_drops_duplicates(self):
+        half = rotation_about_axis([0, 0, 1], np.pi)
+        group = RotationGroup(np.stack([half, half]))
+        assert group.order == 2
+        assert group.contains_element(np.eye(3))
+        assert group.spec == GroupSpec.parse("C2")

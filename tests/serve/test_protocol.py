@@ -145,6 +145,41 @@ class TestDecodeRejections:
             decode_query({"wire_schema": 1, "kind": "symmetricity",
                           "points": {"x": 1}})
 
+    @pytest.mark.parametrize("points", [
+        [], [[0.0, 0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+        [[0.0, 0.0, 1.0, 2.0]], [[1.0, 2.0, "3"]], [[1.0, 2.0, True]],
+        [[1.0, 2.0, None]], [(1.0, 2.0, 3.0)], [[10 ** 400, 0, 0]],
+        [[float("nan"), 0.0, 0.0]], [[float("inf"), 0.0, 0.0]]],
+        ids=["empty", "ragged", "two-coordinates", "four-coordinates",
+             "string", "bool", "null", "tuple-row", "huge-int", "nan",
+             "inf"])
+    def test_only_rows_of_three_finite_numbers(self, points):
+        for wire in ({"wire_schema": 1, "kind": "symmetricity",
+                      "points": points},
+                     {"wire_schema": 1, "kind": "formability",
+                      "initial": "cube", "target": points}):
+            with pytest.raises(ReproError, match="x, y, z"):
+                decode_query(wire)
+
+    def test_integer_coordinates_decode_as_floats(self):
+        query = decode_query({"wire_schema": 1, "kind": "symmetricity",
+                              "points": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        assert query.points == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None, []])
+    def test_multiset_must_be_boolean(self, value):
+        with pytest.raises(ReproError, match="multiset"):
+            decode_query({"wire_schema": 1, "kind": "symmetricity",
+                          "points": "cube", "multiset": value})
+
+    @pytest.mark.parametrize("field", ["wire_schema", "schema_version"])
+    def test_boolean_versions_rejected(self, field):
+        wire = encode_query(SymmetricityQuery(points="cube"))
+        wire[field] = True
+        with pytest.raises(ReproError, match=field):
+            decode_query(wire)
+
 
 class TestQueryKey:
     def test_equal_queries_share_a_key(self):

@@ -23,7 +23,11 @@ from repro.api import (
 from repro.errors import ServiceError
 from repro.obs import metrics as _metrics
 from repro.serve.client import ServeClient
-from repro.serve.protocol import canonical_result_text
+from repro.serve.protocol import (
+    canonical_result_text,
+    decode_result,
+    encode_query,
+)
 from repro.serve.server import QueryServer, ServeConfig
 
 OCTAHEDRON = as_points([[1.0, 0, 0], [0, 1, 0], [0, 0, 1],
@@ -173,6 +177,43 @@ class TestByteIdentity:
             conn.close()
 
 
+class TestMalformedInput:
+    def _post(self, conn, wire):
+        conn.request("POST", "/v1/query",
+                     body=json.dumps(wire).encode("utf-8"),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    def test_ragged_rows_are_422_and_the_connection_lives_on(self):
+        ragged = {"wire_schema": 1, "kind": "symmetricity",
+                  "points": [[0.0, 0.0, 1.0], [1.0, 0.0],
+                             [0.0, 1.0, 0.0]]}
+        huge = {"wire_schema": 1, "kind": "symmetricity",
+                "points": [[1e308, 0, 0], [-1e308, 0, 0], [0, 1e308, 0],
+                           [0, 0, 1e308]]}
+        query = SymmetricityQuery(points=OCTAHEDRON)
+        expected = canonical_result_text(evaluate_query(query))
+        reg = _metrics.registry()
+        with _ServerThread(ServeConfig()) as st:
+            host, port = st.address
+            before = reg.snapshot()["counters"]
+            conn = http.client.HTTPConnection(host, port, timeout=60)
+            status, body = self._post(conn, ragged)
+            assert status == 422, body
+            assert "x, y, z" in body["error"]
+            status, body = self._post(conn, huge)
+            assert status == 422, body
+            status, body = self._post(conn, encode_query(query))
+            assert status == 200, body
+            conn.close()
+            after = reg.snapshot()["counters"]
+        assert canonical_result_text(decode_result(body)) == expected
+        delta = _serve_delta(before, after)
+        assert delta["serve.errors"] == 2
+        assert delta["serve.completed"] == 1
+
+
 class _GatedDispatcher:
     """Holds every dispatch until ``expected`` requests are admitted,
     so a concurrent burst provably overlaps in flight."""
@@ -231,6 +272,54 @@ class TestCoalescing:
         assert len(texts) == 1
         coalesced = [r.cache["served"]["coalesced"] for r in results]
         assert sorted(coalesced) == [False] + [True] * (burst - 1)
+
+    def test_out_of_range_copy_is_refused_before_it_can_coalesce(self):
+        """Scaled by 2**300, the octahedron keeps the unit one's key but
+        leaves the range a configuration accepts: it answers 422 while
+        the unit query is in flight, and never joins it.  Scaled by
+        2**180 it is in range and shares the unit answer."""
+        unit = SymmetricityQuery(points=OCTAHEDRON)
+        near = SymmetricityQuery(points=tuple(
+            tuple(c * 2.0 ** 180 for c in row) for row in OCTAHEDRON))
+        far = SymmetricityQuery(points=tuple(
+            tuple(c * 2.0 ** 300 for c in row) for row in OCTAHEDRON))
+        expected = canonical_result_text(evaluate_query(unit))
+        assert canonical_result_text(evaluate_query(near)) == expected
+        gate = _GatedDispatcher(expected=2)
+        before = _metrics.registry().snapshot()["counters"]
+        with _ServerThread(ServeConfig(queue_depth=4, deadline_s=120),
+                           dispatcher=gate) as st:
+            gate.server = st.server
+            host, port = st.address
+            results = {}
+
+            def ask(name, query):
+                with ServeClient(host, port) as client:
+                    results[name] = client.query(query)
+
+            first = threading.Thread(target=ask, args=("unit", unit))
+            first.start()
+            # The gate holds the unit query until a second is admitted.
+            while st.server._admitted < 1:
+                time.sleep(0.005)
+            with ServeClient(host, port) as client:
+                with pytest.raises(ServiceError) as info:
+                    client.query(far)
+            assert info.value.status == 422
+            assert "too large" in str(info.value)
+            second = threading.Thread(target=ask, args=("near", near))
+            second.start()
+            for thread in (first, second):
+                thread.join(timeout=120)
+        after = _metrics.registry().snapshot()["counters"]
+        delta = _serve_delta(before, after)
+        assert gate.dispatches == 1
+        assert delta["serve.coalesced"] == 1
+        assert delta["serve.completed"] == 2
+        assert delta["serve.errors"] == 1
+        assert {canonical_result_text(r) for r in results.values()} == \
+            {expected}
+        assert results["near"].cache["served"]["coalesced"]
 
 
 class _SlowDispatcher:
