@@ -77,9 +77,10 @@ class ExperimentSpec:
 
     Construction validates the run parameters — ``trials`` is None or
     an integer ≥ 0, ``seed`` an integer ≥ 0, ``cache`` None or a bool
-    (a bool is not an integer here) — and raises :class:`ReproError`
-    otherwise, so every surface (CLI, wire, campaign file) rejects a
-    malformed spec before any work starts.
+    (a bool is not an integer here), ``schema_version`` an integer no
+    newer than :data:`API_SCHEMA_VERSION` — and raises
+    :class:`ReproError` otherwise, so every surface (CLI, wire,
+    campaign file) rejects a malformed spec before any work starts.
     """
 
     trials: int | None = None
@@ -102,6 +103,11 @@ class ExperimentSpec:
         if self.cache is not None and not isinstance(self.cache, bool):
             raise ReproError(f"spec 'cache' must be null or a boolean, "
                              f"got {self.cache!r}")
+        if not (_is_int(self.schema_version)
+                and self.schema_version <= API_SCHEMA_VERSION):
+            raise ReproError(f"spec 'schema_version' must be an integer "
+                             f"no newer than {API_SCHEMA_VERSION}, got "
+                             f"{self.schema_version!r}")
 
 
 @dataclass(frozen=True)
@@ -381,18 +387,21 @@ def spec_record(spec: ExperimentSpec) -> dict:
 
 def _resolve_configuration(points: PointsLike) -> "Configuration":
     """A :class:`repro.core.configuration.Configuration` for a query
-    pattern reference (library name or coordinate tuples)."""
+    pattern reference (library name or coordinate tuples).
+
+    A library name resolves to the process's one configuration of that
+    pattern (:func:`repro.patterns.library.named_configuration`), so a
+    query worker derives a named pattern's ball, ``γ`` and ``ϱ`` once.
+    """
     import numpy as np
 
     from repro.core.configuration import Configuration
 
     if isinstance(points, str):
-        from repro.patterns.library import named_pattern
+        from repro.patterns.library import named_configuration
 
-        rows = named_pattern(points)
-    else:
-        rows = [np.asarray(row, dtype=float) for row in points]
-    return Configuration(rows)
+        return named_configuration(points)
+    return Configuration([np.asarray(row, dtype=float) for row in points])
 
 
 def _specs_sorted(specs: "set[GroupSpec]") -> list[str]:

@@ -4,6 +4,10 @@ The paper denotes by ``B(P)`` the smallest enclosing ball of a point
 (multi)set ``P``, by ``b(P)`` its center, and by ``I(P)`` the innermost
 empty ball: the largest ball centered at ``b(P)`` whose interior
 contains no point of ``P`` (at least one point of ``P`` lies on it).
+
+Every kernel here keeps the bits of the NumPy formulation it replaced:
+``tests/properties/kernel_oracle.py`` holds that formulation of Welzl's
+recursion, and the equivalence suite compares centre bytes and radii.
 """
 
 from __future__ import annotations
@@ -67,7 +71,12 @@ class Ball:
 
 
 def _ball_from_points(points: list[np.ndarray]) -> Ball:
-    """Exact smallest ball through 0..4 boundary points."""
+    """Exact smallest ball through 0..4 boundary points.
+
+    The 2-point radius and the 4-point ``det``/``solve`` stay NumPy
+    calls: a 1-D ``np.linalg.norm`` or ``np.dot`` goes through BLAS,
+    whose bits scalar arithmetic does not reproduce.
+    """
     count = len(points)
     if count == 0:
         return Ball(center=np.zeros(3), radius=0.0)
@@ -192,50 +201,53 @@ def smallest_enclosing_ball(points, tol: Tolerance = DEFAULT_TOL,
     """Smallest enclosing ball ``B(P)`` of a non-empty point set.
 
     Implements Welzl's randomized move-to-front algorithm.  The
-    shuffle uses a deterministic seed so results are reproducible.
-    Large inputs are pre-pruned to their convex-hull vertices (see
-    :data:`_HULL_PRUNE_MIN`); the recursion then runs on the support
-    superset only.
+    shuffle uses a deterministic seed so results are reproducible: the
+    points are visited in the order ``random.Random(seed)`` shuffles
+    their indices into.  Large inputs are pre-pruned to their
+    convex-hull vertices (see :data:`_HULL_PRUNE_MIN`); the recursion
+    then runs on the support superset only.
     """
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
+    arr = np.asarray(points, dtype=float)
+    if arr.size == 0:
         raise GeometryError("smallest enclosing ball of an empty set")
-    if len(pts) >= _HULL_PRUNE_MIN:
-        arr = np.asarray(pts, dtype=float)
+    if len(arr) >= _HULL_PRUNE_MIN:
         radii = np.linalg.norm(arr - arr.mean(axis=0), axis=1)
         rmax = float(radii.max())
         if rmax <= 0.0 or float(radii.min()) < _THIN_SHELL * rmax:
-            pts = list(_boundary_candidates(arr, tol))
-    rng = random.Random(seed)
-    shuffled = pts[:]
-    rng.shuffle(shuffled)
-    return _welzl(np.asarray(shuffled, dtype=float), [], tol)
+            arr = _boundary_candidates(arr, tol)
+    order = list(range(len(arr)))
+    random.Random(seed).shuffle(order)
+    shuffled = arr[order]
+    return _welzl(shuffled, shuffled.tolist(), len(shuffled), [], tol)
 
 
-def _welzl(points: np.ndarray, boundary: list[np.ndarray],
-           tol: Tolerance) -> Ball:
-    """Welzl's recursion with a vectorized violation scan.
+def _welzl(points: np.ndarray, rows: list, end: int,
+           boundary: list[np.ndarray], tol: Tolerance) -> Ball:
+    """Welzl's recursion over ``points[:end]`` with a scalar scan.
 
-    Instead of testing containment point by point in Python, each pass
-    finds the first point outside the current ball with one batched
-    distance computation; the recursion (and therefore the computed
-    ball) is identical to the sequential formulation.
+    ``rows`` holds the same points as Python floats, walked in order.
+    A point outside the current ball joins the boundary of a recursion
+    over the points before it, whose ball becomes the current one.  The
+    distance is ``sqrt((dx*dx + dy*dy) + dz*dz)``, the bits that
+    ``np.linalg.norm(tail - center, axis=1)`` gives, without a NumPy
+    round trip per step.  Boundary points stay rows of ``points``, so
+    the balls through them are the ones the NumPy formulation built.
     """
-    if len(boundary) == 4:
-        return _ball_from_points(boundary)
     ball = _ball_from_points(boundary)
-    start = 0
-    while start < len(points):
-        tail = points[start:]
-        distances = np.linalg.norm(tail - ball.center, axis=1)
-        limit = (ball.radius + tol.abs_tol
-                 + tol.rel_tol * max(ball.radius, 1.0))
-        violations = np.nonzero(distances > limit)[0]
-        if violations.size == 0:
-            break
-        first = start + int(violations[0])
-        ball = _welzl(points[:first], boundary + [points[first]], tol)
-        start = first + 1
+    if len(boundary) == 4:
+        return ball
+    cx, cy, cz = ball.center.tolist()
+    limit = ball.radius + tol.abs_tol + tol.rel_tol * max(ball.radius, 1.0)
+    for i in range(end):
+        x, y, z = rows[i]
+        dx = x - cx
+        dy = y - cy
+        dz = z - cz
+        if math.sqrt((dx * dx + dy * dy) + dz * dz) > limit:
+            ball = _welzl(points, rows, i, boundary + [points[i]], tol)
+            cx, cy, cz = ball.center.tolist()
+            limit = (ball.radius + tol.abs_tol
+                     + tol.rel_tol * max(ball.radius, 1.0))
     return ball
 
 

@@ -9,15 +9,19 @@ regular octahedron, Figure 26).
 
 from __future__ import annotations
 
-from typing import Callable
+import functools
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.errors import GeometryError
 from repro.patterns import polyhedra
 
-__all__ = ["named_pattern", "pattern_names", "pattern_summary",
-           "pattern_summaries", "compose_shells"]
+if TYPE_CHECKING:  # pragma: no cover — annotation-only import
+    from repro.core.configuration import Configuration
+
+__all__ = ["named_pattern", "named_configuration", "pattern_names",
+           "pattern_summary", "pattern_summaries", "compose_shells"]
 
 _GENERATORS: dict[str, Callable[..., list[np.ndarray]]] = {
     "tetrahedron": polyhedra.regular_tetrahedron,
@@ -52,6 +56,22 @@ def named_pattern(name: str, radius: float = 1.0) -> list[np.ndarray]:
         raise GeometryError(
             f"unknown pattern {name!r}; known: {pattern_names()}") from None
     return generator(radius=radius)
+
+
+@functools.lru_cache(maxsize=len(_GENERATORS))
+def named_configuration(name: str) -> "Configuration":
+    """The unit-radius library pattern ``name`` as a ``Configuration``.
+
+    Built once per process: a configuration is immutable and caches
+    its enclosing ball and symmetry report, so every later caller
+    shares one ``B(F)`` and one ``γ(F)`` (and, through the report's
+    congruence-class entry, one ``ϱ(F)``).  Raises
+    :class:`GeometryError` for an unknown name; nothing is stored for
+    it, so the cache holds at most the library's patterns.
+    """
+    from repro.core.configuration import Configuration
+
+    return Configuration(named_pattern(name))
 
 
 def pattern_summary(name: str, radius: float = 1.0) -> dict:

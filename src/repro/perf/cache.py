@@ -11,7 +11,9 @@ Three caches, all invalidated together by :func:`clear_caches`:
   stored group by ``R``.  ``R`` is verified against the full multiset
   before use, so a cache hit is *certified*, never heuristic; when no
   alignment verifies, the query falls back to full detection and is
-  appended as a sibling entry under the same structural key.
+  added as a sibling entry under the same structural key.  Siblings
+  are kept in least-recently-used order and capped at
+  :data:`_MAX_SIBLINGS` per key.
 * **symmetricity** — ``ϱ(P)`` results attached to symmetry entries.
   Specs are congruence invariants and are shared; witness arrangements
   are stored in the canonical frame, and a hit conjugates a spec's
@@ -63,6 +65,12 @@ __all__ = [
 # the bound only matters for long-lived processes scanning many
 # patterns.
 _MAX_CLASSES = 256
+
+# Upper bound on sibling entries under one congruence key.  Perturbed
+# inputs of one key each add a sibling that later queries rarely align
+# onto, and a miss scans the whole bucket; the paper grid's trials
+# hold at most 5 siblings per key.
+_MAX_SIBLINGS = 16
 
 _enabled = True
 
@@ -183,7 +191,7 @@ def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
     bucket = _symmetry_cache.get(key)
     if bucket is not None:
         radii_sorted = np.sort(radii_unit)
-        for entry in bucket:
+        for index, entry in enumerate(bucket):
             if np.abs(entry.radii_sorted - radii_sorted).max() > 10 * slack:
                 continue
             rotation = _detection.align_rotation(
@@ -193,6 +201,8 @@ def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
                 continue
             _stats["symmetry"]["hits"] += 1
             _symmetry_cache.move_to_end(key)
+            if index:
+                bucket.insert(0, bucket.pop(index))
             report.group = entry.group.transformed(rotation)
             report._perf_entry = entry
             report._perf_rotation = rotation
@@ -216,11 +226,15 @@ def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
     if bucket is None:
         _symmetry_cache[key] = [entry]
     else:
-        bucket.append(entry)
+        bucket.insert(0, entry)
+        if len(bucket) > _MAX_SIBLINGS:
+            bucket.pop()
+            _stats["symmetry"]["evictions"] += 1
     _symmetry_cache.move_to_end(key)
     _trim(_symmetry_cache, "symmetry")
     report._perf_entry = entry
-    report._perf_rotation = np.eye(3)
+    # The report's frame is the entry's canonical frame: no alignment.
+    report._perf_rotation = None
     return report
 
 
@@ -269,7 +283,9 @@ def cached_symmetricity(config, report, tol: Tolerance, compute):
     rotated back into the canonical frame; later calls of the class
     share its specs and conjugate a spec's stored witnesses by the
     query's alignment rotation when a caller reads them
-    (:class:`_ConjugatedWitnesses`).
+    (:class:`_ConjugatedWitnesses`).  A report that created its entry
+    (an L1 miss, no alignment rotation) is in the canonical frame
+    already: its witnesses are stored and served as they are.
     """
     entry = getattr(report, "_perf_entry", None)
     if not _enabled or entry is None:
@@ -297,21 +313,24 @@ def cached_symmetricity(config, report, tol: Tolerance, compute):
             _compute_stripped)
         result = Symmetricity(specs=set(specs), maximal=list(maximal),
                               witnesses=witnesses, report=report)
-        inverse = rotation.T
-        canonical_witnesses = {
-            spec: [w.transformed(inverse) for w in arrangements]
-            for spec, arrangements in result.witnesses.items()
-        }
+        if rotation is None:
+            canonical_witnesses = witnesses
+        else:
+            inverse = rotation.T
+            canonical_witnesses = {
+                spec: [w.transformed(inverse) for w in arrangements]
+                for spec, arrangements in witnesses.items()
+            }
         entry.symmetricity = (frozenset(result.specs),
                               tuple(result.maximal),
                               canonical_witnesses)
         return result
     _stats["symmetricity"]["hits"] += 1
-    specs, maximal, canonical_witnesses = entry.symmetricity
+    specs, maximal, witnesses = entry.symmetricity
+    if rotation is not None:
+        witnesses = _ConjugatedWitnesses(witnesses, rotation)
     return Symmetricity(specs=set(specs), maximal=list(maximal),
-                        witnesses=_ConjugatedWitnesses(canonical_witnesses,
-                                                       rotation),
-                        report=report)
+                        witnesses=witnesses, report=report)
 
 
 def _subgroups_via_l3(group, tol: Tolerance, compute) -> list:

@@ -95,6 +95,55 @@ class TestSymmetryCache:
                                      "evictions": 0, "classes": 0}
 
 
+class TestSiblingBound:
+    """Entries under one congruence key stay in least-recently-used
+    order, capped at ``_MAX_SIBLINGS``."""
+
+    def test_perturbed_images_keep_at_most_the_cap(self):
+        from repro.perf import cache as l1
+
+        points = np.asarray(named_pattern("cube"), dtype=float)
+        rng = np.random.default_rng(8)
+        Configuration(points).symmetry
+        sizes = []
+        exact_hits = 0
+        for i in range(1, 1001):
+            noisy = points + rng.normal(0.0, 0.05, size=points.shape)
+            Configuration(_congruent_copy(noisy, i)).symmetry
+            if i % 10 == 0:
+                # The pattern itself stays hot: each exact image hits.
+                hits = perf.cache_stats()["symmetry"]["hits"]
+                Configuration(_congruent_copy(points, i)).symmetry
+                exact_hits += perf.cache_stats()["symmetry"]["hits"] - hits
+            if i in (250, 500, 1000):
+                sizes.append(perf.cache_bytes())
+        assert exact_hits == 100
+        stats = perf.cache_stats()["symmetry"]
+        assert stats["classes"] == l1._MAX_SIBLINGS
+        assert stats["misses"] == 1001
+        assert stats["evictions"] == 1001 - l1._MAX_SIBLINGS
+        assert len(sizes) == 3 and len(set(sizes)) == 1
+        (bucket,) = l1._symmetry_cache.values()
+        assert bucket[0].group.spec == GroupSpec.parse("O")
+        hits = stats["hits"]
+        Configuration(_congruent_copy(points, 0)).symmetry
+        assert perf.cache_stats()["symmetry"]["hits"] == hits + 1
+
+    def test_hit_moves_its_entry_to_the_front(self):
+        from repro.perf import cache as l1
+
+        shapes = [polyhedra.cube(), polyhedra.regular_polygon_pattern(8),
+                  polyhedra.antiprism(4)]
+        for shape in shapes:
+            Configuration(shape).symmetry
+        (bucket,) = l1._symmetry_cache.values()
+        assert [e.group.spec for e in bucket] == \
+            [GroupSpec.parse(t) for t in ("D4", "D8", "O")]
+        Configuration(_congruent_copy(polyhedra.cube(), 2)).symmetry
+        assert [e.group.spec for e in bucket] == \
+            [GroupSpec.parse(t) for t in ("O", "D4", "D8")]
+
+
 class TestSymmetricityCache:
     def test_witnesses_are_conjugated_per_query(self):
         points = named_pattern("icosahedron")
@@ -127,6 +176,30 @@ class TestSymmetricityCache:
         with pytest.raises(KeyError):
             rho.witnesses[GroupSpec.parse("C7")]
         assert rho.witnesses.get(GroupSpec.parse("C7")) is None
+
+    def test_miss_stores_its_witnesses_unconjugated(self, monkeypatch):
+        """A report that created its class entry is in the canonical
+        frame: its ϱ is stored and served again without conjugation."""
+        config = Configuration(named_pattern("cube"))
+        report = config.symmetry
+        conjugated = []
+        original = RotationGroup.transformed
+
+        def counting(self, rotation):
+            conjugated.append(rotation)
+            return original(self, rotation)
+
+        monkeypatch.setattr(RotationGroup, "transformed", counting)
+        rho = symmetricity(config)
+        canonical = report._perf_entry.symmetricity[2]
+        assert canonical is rho.witnesses and canonical
+        again = symmetricity(config)
+        assert perf.cache_stats()["symmetricity"] == {"hits": 1,
+                                                      "misses": 1}
+        assert again.witnesses is canonical
+        assert again.witness(max(again.specs)) is \
+            canonical[max(again.specs)][0]
+        assert conjugated == []
 
     def test_subgroup_enumeration_memoized(self):
         from repro.groups.subgroups import enumerate_concrete_subgroups

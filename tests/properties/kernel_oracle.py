@@ -1,6 +1,7 @@
 """Reference per-object kernels, frozen as an oracle.
 
-Copies of four kernels as they stood before they became array passes:
+Copies of five kernels as they stood before they became array passes
+or scalar loops:
 
 * the closure-based subgroup enumeration (``_generic_subgroups``):
   pairwise joins of every subgroup found so far, closed on Python sets
@@ -10,7 +11,10 @@ Copies of four kernels as they stood before they became array passes:
 * the per-robot random frame (``random_rotation`` and
   ``LocalFrame.random``): one QR decomposition per robot;
 * the orthogonality test through ``np.allclose``
-  (``is_rotation_matrix``).
+  (``is_rotation_matrix``);
+* Welzl's smallest enclosing ball with one NumPy distance pass per
+  recursion step, over a shuffled list of per-point arrays
+  (``smallest_enclosing_ball`` and its ``_welzl``).
 
 The bodies are verbatim apart from methods turned into functions
 (``self.vertices`` and ``self._tol`` became parameters).  The
@@ -22,11 +26,19 @@ value is that it does not share code paths with what it checks.
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from repro.errors import GroupError
+from repro.errors import GeometryError, GroupError
+from repro.geometry.balls import (
+    _HULL_PRUNE_MIN,
+    _THIN_SHELL,
+    Ball,
+    _ball_from_points,
+    _boundary_candidates,
+)
 from repro.geometry.convex import Face
 from repro.geometry.tolerance import DEFAULT_TOL, Tolerance
 from repro.groups.group import RotationGroup, element_key
@@ -223,3 +235,58 @@ def is_rotation_matrix(mat, tol: Tolerance = DEFAULT_TOL) -> bool:
     if not np.allclose(arr @ arr.T, np.eye(3), atol=10 * tol.abs_tol):
         return False
     return tol.close(float(np.linalg.det(arr)), 1.0)
+
+
+# ----------------------------------------------------------------------
+# Smallest enclosing ball: one NumPy distance pass per recursion step
+# ----------------------------------------------------------------------
+def smallest_enclosing_ball(points, tol: Tolerance = DEFAULT_TOL,
+                            seed: int = 0) -> Ball:
+    """Smallest enclosing ball ``B(P)`` of a non-empty point set.
+
+    Implements Welzl's randomized move-to-front algorithm.  The
+    shuffle uses a deterministic seed so results are reproducible.
+    Large inputs are pre-pruned to their convex-hull vertices (see
+    :data:`_HULL_PRUNE_MIN`); the recursion then runs on the support
+    superset only.
+    """
+    pts = [np.asarray(p, dtype=float) for p in points]
+    if not pts:
+        raise GeometryError("smallest enclosing ball of an empty set")
+    if len(pts) >= _HULL_PRUNE_MIN:
+        arr = np.asarray(pts, dtype=float)
+        radii = np.linalg.norm(arr - arr.mean(axis=0), axis=1)
+        rmax = float(radii.max())
+        if rmax <= 0.0 or float(radii.min()) < _THIN_SHELL * rmax:
+            pts = list(_boundary_candidates(arr, tol))
+    rng = random.Random(seed)
+    shuffled = pts[:]
+    rng.shuffle(shuffled)
+    return _welzl(np.asarray(shuffled, dtype=float), [], tol)
+
+
+def _welzl(points: np.ndarray, boundary: list[np.ndarray],
+           tol: Tolerance) -> Ball:
+    """Welzl's recursion with a vectorized violation scan.
+
+    Instead of testing containment point by point in Python, each pass
+    finds the first point outside the current ball with one batched
+    distance computation; the recursion (and therefore the computed
+    ball) is identical to the sequential formulation.
+    """
+    if len(boundary) == 4:
+        return _ball_from_points(boundary)
+    ball = _ball_from_points(boundary)
+    start = 0
+    while start < len(points):
+        tail = points[start:]
+        distances = np.linalg.norm(tail - ball.center, axis=1)
+        limit = (ball.radius + tol.abs_tol
+                 + tol.rel_tol * max(ball.radius, 1.0))
+        violations = np.nonzero(distances > limit)[0]
+        if violations.size == 0:
+            break
+        first = start + int(violations[0])
+        ball = _welzl(points[:first], boundary + [points[first]], tol)
+        start = first + 1
+    return ball

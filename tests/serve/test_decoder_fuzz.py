@@ -5,9 +5,10 @@ query or a :class:`ReproError`, and the query task answers it 200 or
 The envelopes mix well-formed queries (up to 64 points, duplicates
 and catalog patterns included) with NaN, infinities, huge values,
 ragged, short and empty point lists, wrong types and wrong schema
-versions.  Every input that
-once escaped the decoder or reached a worker as a 500 is an
-``@example``.
+versions.  A schema version, of the envelope or of a run's spec, that
+is not an integer no newer than the library's is always a 422.  Every
+input that once escaped the decoder, reached a worker as a 500 or
+answered 200 with a malformed version is an ``@example``.
 """
 
 import json
@@ -128,6 +129,22 @@ def _symmetricity(points, **extra):
             **extra}
 
 
+def _run_spec_version(version):
+    return {"kind": "run", "name": "lemma7",
+            "spec": {"trials": 0, "schema_version": version}}
+
+
+def _versions_valid(wire) -> bool:
+    """Every schema version the envelope carries is an integer (not a
+    bool) no newer than the library's; an absent one defaults."""
+    versions = [wire.get("schema_version", API_SCHEMA_VERSION)]
+    spec = wire.get("spec")
+    if wire.get("kind") == "run" and isinstance(spec, dict):
+        versions.append(spec.get("schema_version", API_SCHEMA_VERSION))
+    return all(type(v) is int and v <= API_SCHEMA_VERSION
+               for v in versions)
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(wire=_ENVELOPES)
@@ -152,6 +169,9 @@ def _symmetricity(points, **extra):
                "initial": _RAGGED, "target": "cube"})
 @example(wire={"wire_schema": 1, "kind": "formability",
                "initial": _HUGE, "target": _HUGE})
+@example(wire={"wire_schema": 1, **_run_spec_version("x")})
+@example(wire={"wire_schema": 1, **_run_spec_version(99)})
+@example(wire={"wire_schema": 1, **_run_spec_version(True)})
 def test_envelope_is_a_query_or_a_422(wire):
     # What the server hands over: Python's json reads NaN and
     # Infinity, and integers of any size.
@@ -165,4 +185,7 @@ def test_envelope_is_a_query_or_a_422(wire):
     outcome = run_query_task(wire)
     assert outcome["status"] in (200, 422), outcome
     if not decoded:
+        assert outcome["status"] == 422, outcome
+    if not _versions_valid(wire):
+        assert not decoded
         assert outcome["status"] == 422, outcome

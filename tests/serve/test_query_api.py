@@ -1,6 +1,9 @@
 """The typed query surface of ``repro.api``: records, evaluation and
 schema versioning."""
 
+import collections
+
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -15,7 +18,11 @@ from repro.api import (
     run_experiment,
     spec_record,
 )
-from repro.errors import ReproError
+from repro.errors import GeometryError, ReproError
+from repro.geometry.balls import smallest_enclosing_ball
+from repro.geometry.transforms import Similarity
+from repro.patterns.library import named_configuration, named_pattern
+from repro.serve.worker import run_query_task
 
 
 class TestQueryRecords:
@@ -35,7 +42,10 @@ class TestQueryRecords:
     @pytest.mark.parametrize("kwargs", [
         {"trials": -1}, {"trials": "x"}, {"trials": True},
         {"seed": -3}, {"seed": None}, {"seed": False},
-        {"cache": 1}, {"cache": "no"}])
+        {"cache": 1}, {"cache": "no"},
+        {"schema_version": "x"}, {"schema_version": 99},
+        {"schema_version": True}, {"schema_version": 2.0},
+        {"schema_version": API_SCHEMA_VERSION + 1}])
     def test_spec_rejects_malformed_run_parameters(self, kwargs):
         with pytest.raises(ReproError, match="spec '"):
             ExperimentSpec(**kwargs)
@@ -106,3 +116,62 @@ class TestEvaluateQuery:
     def test_unknown_pattern_raises(self):
         with pytest.raises(ReproError):
             evaluate_query(SymmetricityQuery(points="dodecaplex"))
+
+
+@pytest.fixture
+def fresh_named_configurations():
+    named_configuration.cache_clear()
+    yield
+    named_configuration.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_named_configurations")
+class TestNamedPatternsBuiltOnce:
+    def test_named_target_ball_is_computed_once(self, monkeypatch):
+        from repro.core import configuration
+        from repro.groups import detection
+
+        counts: collections.Counter = collections.Counter()
+        for module in (configuration, detection):
+            original = module.smallest_enclosing_ball
+
+            def counted(points, *args, _original=original, **kwargs):
+                counts[np.asarray(points, dtype=float).tobytes()] += 1
+                return _original(points, *args, **kwargs)
+
+            monkeypatch.setattr(module, "smallest_enclosing_ball", counted)
+        rng = np.random.default_rng(17)
+        initials = [as_points(Similarity.random(rng).apply_all(
+            named_pattern("cube"))) for _ in range(6)]
+        verdicts = {evaluate_query(FormabilityQuery(
+            initial=points, target="octagon")).deterministic_view()[
+                "verdict"] for points in initials}
+        assert verdicts == {"formable"}
+        target = np.asarray(named_pattern("octagon"), dtype=float)
+        assert counts[target.tobytes()] == 1
+        for points in initials:
+            assert counts[np.asarray(points).tobytes()] == 1
+        assert named_configuration.cache_info().currsize == 1
+        # The shared target is read, never written, by the queries.
+        shared = named_configuration("octagon")
+        assert shared.as_array().tobytes() == target.tobytes()
+        assert shared.center.tobytes() == \
+            smallest_enclosing_ball(target).center.tobytes()
+
+    def test_named_configuration_is_shared(self):
+        first = named_configuration("icosahedron")
+        assert named_configuration("icosahedron") is first
+        assert [p.tobytes() for p in first.points] == \
+            [np.asarray(p, dtype=float).tobytes()
+             for p in named_pattern("icosahedron")]
+
+    def test_unknown_name_is_422_and_not_kept(self):
+        wire = {"wire_schema": 1, "kind": "formability",
+                "initial": [list(p) for p in named_pattern("cube")],
+                "target": "dodecaplex"}
+        outcome = run_query_task(wire)
+        assert outcome["status"] == 422
+        assert "dodecaplex" in outcome["error"]
+        with pytest.raises(GeometryError):
+            named_configuration("dodecaplex")
+        assert named_configuration.cache_info().currsize == 0

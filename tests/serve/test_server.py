@@ -2,6 +2,7 @@
 deadlines, and leak-free drain."""
 
 import asyncio
+import dataclasses
 import http.client
 import json
 import multiprocessing
@@ -23,6 +24,7 @@ from repro.api import (
 from repro.errors import ServiceError
 from repro.obs import metrics as _metrics
 from repro.serve.client import ServeClient
+from repro.serve.http import HttpRequest
 from repro.serve.protocol import (
     canonical_result_text,
     decode_result,
@@ -338,6 +340,34 @@ class _SlowDispatcher:
         pass
 
 
+class _HeldDispatcher:
+    """Holds each computation until the test sets :attr:`release`,
+    then answers it as a worker would; counts what happened to it."""
+
+    def __init__(self):
+        self.entered = asyncio.Event()
+        self.release = asyncio.Event()
+        self.dispatches = 0
+        self.completed = 0
+        self.cancelled = 0
+
+    async def dispatch(self, wire):
+        from repro.serve.worker import run_query_task
+
+        self.dispatches += 1
+        self.entered.set()
+        try:
+            await self.release.wait()
+        except asyncio.CancelledError:
+            self.cancelled += 1
+            raise
+        self.completed += 1
+        return run_query_task(wire)
+
+    def close(self):
+        pass
+
+
 class TestBackpressureAndDeadlines:
     def test_queue_depth_exhaustion_is_429(self):
         before = _metrics.registry().snapshot()["counters"]
@@ -379,6 +409,59 @@ class TestBackpressureAndDeadlines:
             time.sleep(1.2)
         after = _metrics.registry().snapshot()["counters"]
         assert _serve_delta(before, after)["serve.timeouts"] == 1
+
+    def test_deadline_racing_a_coalesced_completion(self):
+        """The first waiter's deadline passes while the computation it
+        dispatched is held: 504.  A sibling that joined the computation
+        with a longer deadline gets its 200 once it is released; the
+        computation is never cancelled, and its in-flight entry goes
+        when it completes.  Events order every step; only the first
+        waiter's deadline reads the clock."""
+        query = SymmetricityQuery(points=OCTAHEDRON)
+        expected = canonical_result_text(evaluate_query(query))
+        body = json.dumps(encode_query(query)).encode("utf-8")
+        reg = _metrics.registry()
+
+        def ask(server):
+            return asyncio.ensure_future(server._handle_query(
+                HttpRequest(method="POST", path="/v1/query", body=body)))
+
+        async def race():
+            gate = _HeldDispatcher()
+            server = QueryServer(ServeConfig(queue_depth=4,
+                                             deadline_s=0.05),
+                                 dispatcher=gate)
+            before = reg.snapshot()["counters"]
+            first = ask(server)
+            await gate.entered.wait()
+            server.config = dataclasses.replace(server.config,
+                                                deadline_s=120.0)
+            second = ask(server)
+            status, payload = await first
+            assert status == 504, payload
+            assert "deadline" in payload["error"]
+            (computation,) = server._inflight.values()
+            assert not computation.done() and not second.done()
+            assert server._admitted == 1
+            mid = reg.snapshot()["counters"]
+            gate.release.set()
+            answer = await second
+            after = reg.snapshot()["counters"]
+            return (gate, server, computation, answer,
+                    _serve_delta(before, mid), _serve_delta(mid, after))
+
+        gate, server, computation, (status, response), raced, finished = \
+            asyncio.run(race())
+        assert raced == {"serve.requests": 2, "serve.dispatched": 1,
+                         "serve.coalesced": 1, "serve.timeouts": 1}
+        assert finished == {"serve.completed": 1}
+        assert status == 200, response
+        assert response.pop("served")["coalesced"] is True
+        assert canonical_result_text(decode_result(response)) == expected
+        assert (gate.dispatches, gate.completed, gate.cancelled) == (1, 1, 0)
+        assert computation.done() and not computation.cancelled()
+        assert server._inflight == {}
+        assert server._admitted == 0
 
     def test_draining_server_refuses_new_queries(self):
         with _ServerThread(ServeConfig()) as st:
