@@ -283,10 +283,11 @@ def _run_formation(initial, f_points, frames,
     """
     algorithm = make_pattern_formation_algorithm(f_points)
     scheduler = FsyncScheduler(algorithm, frames, target=f_points)
+    target = Configuration(f_points)
     try:
         result = scheduler.run(
             initial,
-            stop_condition=lambda c: c.is_similar_to(f_points),
+            stop_condition=lambda c: c.is_similar_to(target),
             max_rounds=max_rounds)
     except EmbeddingError:
         return False, -1
@@ -413,7 +414,7 @@ def _baseline_2d_rows(seed: int = 0) -> list[dict]:
         random_frames_2d,
         symmetricity_2d,
     )
-    from repro.twod.formation import are_similar_2d
+    from repro.twod.formation import is_similar_2d
 
     def polygon(k, r=1.0, phase=0.0):
         return [np.array([r * np.cos(phase + 2 * np.pi * i / k),
@@ -449,7 +450,7 @@ def _baseline_2d_rows(seed: int = 0) -> list[dict]:
             scheduler = FsyncScheduler2D(algo, frames, target=f_pts)
             result = scheduler.run(
                 p_pts,
-                stop_condition=lambda pts: are_similar_2d(pts, f_pts),
+                stop_condition=lambda pts: is_similar_2d(pts, f_pts),
                 max_rounds=30)
             formed = result.reached
         rows.append({

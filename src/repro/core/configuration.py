@@ -15,8 +15,14 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.geometry.balls import Ball, innermost_empty_ball, smallest_enclosing_ball
 from repro.geometry.tolerance import DEFAULT_TOL, Tolerance
-from repro.geometry.transforms import Similarity, are_similar
-from repro.groups.detection import SymmetryReport
+from repro.geometry.transforms import Similarity
+from repro.groups.detection import (
+    Support,
+    SymmetryReport,
+    collinear_congruent,
+    congruent_rotation,
+    support_of,
+)
 from repro.groups.group import RotationGroup
 
 __all__ = ["MAX_CENTRED_NORM", "Configuration", "coordinate_array"]
@@ -122,18 +128,23 @@ class Configuration:
                                     tol=self._tol)
 
     @cached_property
+    def support(self) -> Support:
+        """The distinct points around ``b(P)``, read by ``γ(P)`` and by
+        the similarity test."""
+        return support_of(self._points, self._tol, ball=self.ball)
+
+    @cached_property
     def symmetry(self) -> SymmetryReport:
         """Full symmetry report (computes ``γ(P)``).
 
         Served through the congruence cache (:mod:`repro.perf`): the
         scheduler observes each configuration once per robot in
         rotated/scaled local frames, and all those observations share
-        one congruence class.  The precomputed enclosing ball is handed
-        down so detection never repeats the Welzl pass.
+        one congruence class.
         """
         from repro.perf import cached_symmetry
 
-        return cached_symmetry(self._points, self._tol, ball=self.ball)
+        return cached_symmetry(self.support)
 
     @property
     def rotation_group(self) -> RotationGroup | None:
@@ -162,11 +173,26 @@ class Configuration:
     # ------------------------------------------------------------------
     # Relations
     # ------------------------------------------------------------------
-    def is_similar_to(self, other, tol: Tolerance | None = None) -> bool:
-        """Pattern similarity ``P ≃ F`` (rotation+translation+scaling)."""
-        other_pts = other.points if isinstance(other, Configuration) else other
-        return are_similar(self._points, list(other_pts),
-                           tol or self._tol)
+    def is_similar_to(self, other) -> bool:
+        """Pattern similarity ``P ≃ F`` (rotation+translation+scaling).
+
+        ``other`` is a :class:`Configuration` or a point list.  Only
+        orientation-preserving similarities count, matching the paper's
+        ``T``.  Finite supports pass the congruence cache's hit test (a
+        rotation certified on the whole multiset); collinear ones
+        compare heights along their lines; any two degenerate ones of
+        equal size are similar.
+        """
+        if not isinstance(other, Configuration) or other.tol != self._tol:
+            other = Configuration(list(other), self._tol)
+        mine, theirs = self.support, other.support
+        if mine.kind != theirs.kind:
+            return False
+        if mine.kind == "finite":
+            return congruent_rotation(mine.unit, theirs.unit) is not None
+        if mine.kind == "collinear":
+            return collinear_congruent(mine, theirs)
+        return self.n == other.n
 
     def transformed(self, similarity: Similarity) -> "Configuration":
         """Image of this configuration under a similarity transform."""

@@ -40,7 +40,7 @@ from repro.geometry.balls import (
     innermost_empty_ball,
     is_spherical,
 )
-from repro.geometry.transforms import Similarity, are_similar
+from repro.geometry.transforms import Similarity
 from repro.geometry.polygons import (
     regular_polygon_fold,
     is_regular_polygon,
@@ -76,7 +76,6 @@ __all__ = [
     "innermost_empty_ball",
     "is_spherical",
     "Similarity",
-    "are_similar",
     "regular_polygon_fold",
     "is_regular_polygon",
     "regular_polygon",

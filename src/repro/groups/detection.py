@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -60,7 +61,16 @@ from repro.groups.group import (
 from repro.groups.infinite import InfiniteGroupKind, detect_collinear_kind
 from repro.geometry.rotations import rotation_about_axis
 
-__all__ = ["SymmetryReport", "detect_rotation_group", "align_rotation"]
+__all__ = [
+    "Support",
+    "SymmetryReport",
+    "UnitSupport",
+    "align_rotation",
+    "collinear_congruent",
+    "congruent_rotation",
+    "detect_rotation_group",
+    "support_of",
+]
 
 # Cap on the number of (candidate, point) products held in memory at
 # once while verifying candidate rotations; batches are chunked to it.
@@ -179,8 +189,15 @@ def _collapse_multiset(points, slack: float):
 
 
 @dataclass
-class _Prepared:
-    """Shared precomputation for detection and the congruence cache."""
+class Support:
+    """The distinct points of a multiset around ``b(P)``.
+
+    Detection, the congruence cache and the similarity test ``P ≃ F``
+    read it; a :class:`~repro.core.configuration.Configuration` builds
+    it once.  ``kind`` is ``"degenerate"`` when every point sits at the
+    center, ``"collinear"`` when all points lie on one line through it
+    (``line`` is a unit vector along that line), ``"finite"`` otherwise.
+    """
 
     ball: object
     slack: float
@@ -188,10 +205,46 @@ class _Prepared:
     mults: np.ndarray
     rel: np.ndarray
     radii: np.ndarray
+    tol: Tolerance
+    kind: str
+    line: np.ndarray | None = None
+
+    @cached_property
+    def unit(self) -> "UnitSupport":
+        """The support scaled to unit radius, with its congruence key."""
+        from repro.core.signatures import congruence_signature
+
+        scale = max(self.ball.radius, 1e-300)
+        radii = self.radii / scale
+        tol_key = (float(self.tol.abs_tol), float(self.tol.rel_tol))
+        return UnitSupport(
+            key=congruence_signature(int(self.mults.sum()), self.mults)
+            + (tol_key,),
+            rel=self.rel / scale, mults=self.mults, radii=radii,
+            radii_sorted=np.sort(radii),
+            slack=self.tol.geometric_slack(1.0))
 
 
-def _prepare_multiset(points, tol: Tolerance, ball=None) -> _Prepared:
-    """Enclosing ball, distinct support, and center-relative geometry."""
+@dataclass(frozen=True)
+class UnitSupport:
+    """A :class:`Support` at unit radius: what congruence compares.
+
+    ``key`` holds only exact integers (cardinality, support size,
+    sorted multiplicities) and the tolerance; the radii and points are
+    compared tolerantly by :func:`congruent_rotation`.
+    """
+
+    key: tuple
+    rel: np.ndarray
+    mults: np.ndarray
+    radii: np.ndarray
+    radii_sorted: np.ndarray
+    slack: float
+
+
+def support_of(points, tol: Tolerance = DEFAULT_TOL, ball=None) -> Support:
+    """Enclosing ball, distinct support, center-relative geometry and
+    kind of a point multiset (``ball`` skips the Welzl pass)."""
     pts = np.asarray([np.asarray(p, dtype=float) for p in points],
                      dtype=float)
     if pts.size == 0:
@@ -202,32 +255,31 @@ def _prepare_multiset(points, tol: Tolerance, ball=None) -> _Prepared:
     distinct, mults = _collapse_multiset(pts, slack)
     rel = distinct - ball.center
     radii = np.linalg.norm(rel, axis=1)
-    return _Prepared(ball=ball, slack=slack, distinct=distinct,
-                     mults=mults, rel=rel, radii=radii)
+    line = None
+    if bool((radii <= slack).all()):
+        kind = "degenerate"
+    else:
+        line = _common_line(rel, radii, slack)
+        kind = "finite" if line is None else "collinear"
+    return Support(ball=ball, slack=slack, distinct=distinct, mults=mults,
+                   rel=rel, radii=radii, tol=tol, kind=kind, line=line)
 
 
-def _base_report(pre: _Prepared, tol: Tolerance) -> SymmetryReport:
+def _base_report(pre: Support) -> SymmetryReport:
     """Report with the kind decided; the finite group not yet computed."""
     report = SymmetryReport(
-        kind="finite", center=pre.ball.center, radius=pre.ball.radius,
+        kind=pre.kind, center=pre.ball.center, radius=pre.ball.radius,
         distinct_points=list(pre.distinct),
         multiplicities=[int(m) for m in pre.mults])
     report.center_occupied = bool((pre.radii <= pre.slack).any())
-
-    if bool((pre.radii <= pre.slack).all()):
-        report.kind = "degenerate"
-        return report
-
-    line = _common_line(pre.rel, pre.radii, pre.slack)
-    if line is not None:
-        report.kind = "collinear"
-        report.line_direction = line
+    if pre.kind == "collinear":
+        report.line_direction = pre.line
         report.infinite_kind = detect_collinear_kind(
-            list(pre.rel), list(pre.mults), tol)
+            list(pre.rel), list(pre.mults), pre.tol)
     return report
 
 
-def _finish_finite_report(report: SymmetryReport, pre: _Prepared,
+def _finish_finite_report(report: SymmetryReport, pre: Support,
                           tol: Tolerance) -> SymmetryReport:
     """Run the full finite-group detection and attach it to ``report``."""
     scale = max(pre.ball.radius, 1.0)
@@ -252,8 +304,8 @@ def detect_rotation_group(points, tol: Tolerance = DEFAULT_TOL,
     occupies every axis).  ``ball`` lets callers that already hold the
     smallest enclosing ball skip recomputing it.
     """
-    pre = _prepare_multiset(points, tol, ball)
-    report = _base_report(pre, tol)
+    pre = support_of(points, tol, ball)
+    report = _base_report(pre)
     if report.kind != "finite":
         return report
     return _finish_finite_report(report, pre, tol)
@@ -367,7 +419,8 @@ class _BatchVerifier:
     multiplicity.  Images of a whole batch of candidates are produced
     by one einsum and matched with one k-d tree query; a probe pass
     over the most constrained shell cheaply rejects bad candidates
-    before the full check.
+    before the full check.  :meth:`first_mapping` runs the same check
+    on the images of another multiset (an alignment onto ``P``).
     """
 
     def __init__(self, rel, mults, check_slack: float,
@@ -386,13 +439,12 @@ class _BatchVerifier:
         self.probe = probe if probe is not None and len(probe) < len(rel) \
             else None
 
-    def _check(self, rots: np.ndarray, subset) -> np.ndarray:
-        points = self.rel if subset is None else self.rel[subset]
-        mults = self.mults if subset is None else self.mults[subset]
-        count, m = len(rots), len(points)
-        ok = np.zeros(count, dtype=bool)
+    def _blocks(self, rots: np.ndarray, points, mults):
+        """Per block of ``rots``: its start and which of its rotations
+        map ``points`` (with ``mults``) onto this multiset."""
+        m = len(points)
         block = max(1, _VERIFY_BLOCK // max(m, 1))
-        for start in range(0, count, block):
+        for start in range(0, len(rots), block):
             chunk = rots[start:start + block]
             images = np.einsum("cij,mj->cmi", chunk, points)
             dist, idx = self.tree.query(
@@ -404,8 +456,24 @@ class _BatchVerifier:
             good = dist <= self.check_slack
             safe = np.where(good, idx, 0)
             good &= self.mults[safe] == mults[None, :]
-            ok[start:start + len(chunk)] = good.all(axis=1)
+            yield start, good.all(axis=1)
+
+    def _check(self, rots: np.ndarray, subset) -> np.ndarray:
+        points = self.rel if subset is None else self.rel[subset]
+        mults = self.mults if subset is None else self.mults[subset]
+        ok = np.zeros(len(rots), dtype=bool)
+        for start, good in self._blocks(rots, points, mults):
+            ok[start:start + len(good)] = good
         return ok
+
+    def first_mapping(self, rots: np.ndarray, points, mults):
+        """The first of ``rots`` that maps ``points`` (with ``mults``)
+        onto this multiset, or None."""
+        for start, good in self._blocks(rots, points, mults):
+            hits = np.nonzero(good)[0]
+            if hits.size:
+                return np.asarray(rots[start + int(hits[0])])
+        return None
 
     def __call__(self, rots) -> np.ndarray:
         rots = np.asarray(rots, dtype=float).reshape(-1, 3, 3)
@@ -808,22 +876,40 @@ def align_rotation(src_rel, src_mults, src_radii,
     if not len(candidates):
         return None
 
-    tree = neighbor_index(dst_rel)
-    m = len(src_rel)
-    block = max(1, _VERIFY_BLOCK // max(m, 1))
-    for start in range(0, len(candidates), block):
-        chunk = candidates[start:start + block]
-        images = np.einsum("cij,mj->cmi", chunk, src_rel)
-        dist, idx = tree.query(
-            images.reshape(-1, 3), k=1,
-            distance_upper_bound=check_slack
-            * (1.0 + DEFAULT_TOL.coincidence_slack(1.0)))
-        dist = dist.reshape(len(chunk), m)
-        idx = idx.reshape(len(chunk), m)
-        good = dist <= check_slack
-        safe = np.where(good, idx, 0)
-        good &= dst_mults[safe] == src_mults[None, :]
-        hits = np.nonzero(good.all(axis=1))[0]
-        if hits.size:
-            return np.asarray(chunk[int(hits[0])])
-    return None
+    verifier = _BatchVerifier(dst_rel, dst_mults, check_slack)
+    return verifier.first_mapping(candidates, src_rel, src_mults)
+
+
+def congruent_rotation(src: UnitSupport,
+                       dst: UnitSupport) -> np.ndarray | None:
+    """A certified rotation ``R`` with ``R · src ≈ dst``, or None.
+
+    The test the congruence cache serves a hit on and that
+    ``Configuration.is_similar_to`` decides ``P ≃ F`` with: equal
+    congruence keys, sorted unit radii within ``10 · slack``, then a
+    rotation from :func:`align_rotation`, verified on the whole
+    multiset.  Both supports are finite (neither collinear nor
+    degenerate).
+    """
+    if src.key != dst.key:
+        return None
+    if np.abs(src.radii_sorted - dst.radii_sorted).max() > 10 * dst.slack:
+        return None
+    return align_rotation(src.rel, src.mults, src.radii,
+                          dst.rel, dst.mults, dst.radii, dst.slack)
+
+
+def collinear_congruent(first: Support, second: Support) -> bool:
+    """True when two collinear supports are congruent at unit radius.
+
+    Each multiset is read as its heights along its line, one per robot;
+    a rotation can reverse the line, so the heights agree up to sign.
+    """
+    heights = [np.repeat(s.unit.rel @ s.line, s.mults)
+               for s in (first, second)]
+    if len(heights[0]) != len(heights[1]):
+        return False
+    bound = 10 * first.unit.slack
+    mine = np.sort(heights[0])
+    return any(np.abs(mine - np.sort(sign * heights[1])).max() <= bound
+               for sign in (1.0, -1.0))

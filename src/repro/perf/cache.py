@@ -28,13 +28,13 @@ continuous data is compared tolerantly per entry.  See
 ``docs/PERFORMANCE.md`` for why this split is load-bearing.
 
 These caches are the **L1** level of the cache hierarchy.  On an L1
-miss the finite-group detection, the ``ϱ(P)`` computation, and the
-subgroup enumeration additionally consult the pool worker's **L2**
-store (:mod:`repro.perf.shared`) under digests of their *exact* input
-bytes — the center-relative point array, the concrete group element
-stack and axis data — so a worker's later trials, cells and queries
-reuse the pure recomputation without ever sharing the
-history-dependent (conjugation-noisy) L1 state.
+miss the finite-group detection and the ``ϱ(P)`` computation
+additionally consult the pool worker's **L2** store
+(:mod:`repro.perf.shared`) under digests of their *exact* input bytes
+— the center-relative point array, the concrete group element stack
+and axis data — so a worker's later trials, cells and queries reuse
+the pure recomputation without ever sharing the history-dependent
+(conjugation-noisy) L1 state.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.signatures import congruence_signature
-from repro.geometry.tolerance import DEFAULT_TOL, Tolerance
+from repro.geometry.tolerance import Tolerance
 from repro.groups import detection as _detection
 
 __all__ = [
@@ -88,10 +87,7 @@ _stats = {
 class _ClassEntry:
     """Canonical data for one congruence class of configurations."""
 
-    rel_unit: np.ndarray
-    mults: np.ndarray
-    radii_unit: np.ndarray
-    radii_sorted: np.ndarray
+    support: _detection.UnitSupport
     group: object
     symmetricity: tuple | None = field(default=None)
 
@@ -143,8 +139,9 @@ def cache_bytes() -> int:
     total = 0
     for bucket in _symmetry_cache.values():
         for entry in bucket:
-            total += (entry.rel_unit.nbytes + entry.mults.nbytes
-                      + entry.radii_unit.nbytes + entry.radii_sorted.nbytes)
+            support = entry.support
+            total += (support.rel.nbytes + support.mults.nbytes
+                      + support.radii.nbytes + support.radii_sorted.nbytes)
             group = entry.group
             if group is not None:
                 total += group._stack.nbytes
@@ -165,38 +162,32 @@ def _tol_key(tol: Tolerance) -> tuple:
     return (float(tol.abs_tol), float(tol.rel_tol))
 
 
-def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
-    """``detect_rotation_group`` memoized per congruence class.
+def cached_symmetry(support: _detection.Support):
+    """``γ(P)`` of a :class:`~repro.groups.detection.Support`, memoized
+    per congruence class.
 
+    A stored class serves the query when
+    :func:`~repro.groups.detection.congruent_rotation` certifies a
+    rotation from the entry's canonical support onto the query's.
     Collinear and degenerate configurations bypass the cache — their
     reports are cheap (no candidate enumeration) and carry
     query-specific data (the line direction) anyway.
     """
-    if not _enabled:
-        return _detection.detect_rotation_group(points, tol, ball=ball)
-
-    pre = _detection._prepare_multiset(points, tol, ball)
-    report = _detection._base_report(pre, tol)
+    tol = support.tol
+    report = _detection._base_report(support)
     if report.kind != "finite":
-        _stats["symmetry"]["bypass"] += 1
+        if _enabled:
+            _stats["symmetry"]["bypass"] += 1
         return report
+    if not _enabled:
+        return _detection._finish_finite_report(report, support, tol)
 
-    scale = max(pre.ball.radius, 1e-300)
-    rel_unit = pre.rel / scale
-    radii_unit = pre.radii / scale
-    slack = tol.geometric_slack(1.0)
-    mults = np.asarray(pre.mults, dtype=np.int64)
-    key = congruence_signature(len(points), mults) + (_tol_key(tol),)
-
+    unit = support.unit
+    key = unit.key
     bucket = _symmetry_cache.get(key)
     if bucket is not None:
-        radii_sorted = np.sort(radii_unit)
         for index, entry in enumerate(bucket):
-            if np.abs(entry.radii_sorted - radii_sorted).max() > 10 * slack:
-                continue
-            rotation = _detection.align_rotation(
-                entry.rel_unit, entry.mults, entry.radii_unit,
-                rel_unit, mults, radii_unit, slack)
+            rotation = _detection.congruent_rotation(entry.support, unit)
             if rotation is None:
                 continue
             _stats["symmetry"]["hits"] += 1
@@ -217,12 +208,11 @@ def cached_symmetry(points, tol: Tolerance = DEFAULT_TOL, ball=None):
 
     report.group = _shared.shared_get_or_compute(
         "gamma",
-        (b"gamma", pre.rel, mults, float(pre.ball.radius), _tol_key(tol)),
-        lambda: _detection._finish_finite_report(report, pre, tol).group)
-    entry = _ClassEntry(rel_unit=rel_unit, mults=mults,
-                        radii_unit=radii_unit,
-                        radii_sorted=np.sort(radii_unit),
-                        group=report.group)
+        (b"gamma", support.rel, unit.mults, float(support.ball.radius),
+         _tol_key(tol)),
+        lambda: _detection._finish_finite_report(report, support,
+                                                 tol).group)
+    entry = _ClassEntry(support=unit, group=report.group)
     if bucket is None:
         _symmetry_cache[key] = [entry]
     else:
@@ -367,11 +357,11 @@ def cached_subgroups(group, tol: Tolerance, compute) -> list:
     enumerations of identical arrangements — e.g. the paper's tables,
     or re-detected canonical groups — without any alignment step.
 
-    Misses walk down the hierarchy: the L2 store under the exact
-    element/axis bytes, then (for catalog groups) the L3 disk store,
-    then the enumeration itself: one bitmask pass over the Cayley
-    table for ``T``, ``O``, ``I`` and ``D_2``, the known structure for
-    cyclic and dihedral groups.
+    Misses go to the L3 disk store (catalog groups only), then to the
+    enumeration itself: one bitmask pass over the Cayley table for
+    ``T``, ``O``, ``I`` and ``D_2``, the known structure for cyclic and
+    dihedral groups.  L2 keeps no lattices: on the paper grid it
+    served one or two of about 50 lookups a pass.
     """
     if not _enabled:
         return compute(group, tol)
@@ -382,12 +372,7 @@ def cached_subgroups(group, tol: Tolerance, compute) -> list:
         _subgroup_cache.move_to_end(key)
         return list(cached)
     _stats["subgroups"]["misses"] += 1
-    from repro.perf import shared as _shared
-    from repro.perf.stats import group_digest
-
-    result = _shared.shared_get_or_compute(
-        "subgroups", (b"subgroups", group_digest(group), _tol_key(tol)),
-        lambda: _subgroups_via_l3(group, tol, compute))
+    result = _subgroups_via_l3(group, tol, compute)
     _subgroup_cache[key] = list(result)
     _trim(_subgroup_cache, "subgroups")
     return list(result)

@@ -1,8 +1,8 @@
 """L2 — each pool worker's own store of exact-key results.
 
-On an L1 miss, finite-group detection, ``ϱ(P)`` and subgroup
-enumeration look their result up here under a digest of their exact
-input bytes (:mod:`repro.perf.cache`).  The pool initializer
+On an L1 miss, finite-group detection and ``ϱ(P)`` look their result
+up here under a digest of their exact input bytes
+(:mod:`repro.perf.cache`).  The pool initializer
 (:func:`repro.perf.parallel.process_pool`) gives every worker one
 store, which lives as long as the worker: L1 is cleared before every
 trial, campaign cell and run query, L2 is not, so a worker's later

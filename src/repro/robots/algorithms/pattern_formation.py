@@ -16,6 +16,7 @@ the same code by ignoring their memory (Theorem 6.1).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -49,22 +50,15 @@ class _PatternFormation:
     """
 
     def __init__(self, target_points=None) -> None:
-        if target_points is None:
-            self._fixed_target = None
-        else:
-            rows = np.asarray(
-                [np.asarray(p, dtype=float) for p in target_points],
-                dtype=float)
-            rows.setflags(write=False)
-            self._fixed_target = rows
+        self._fixed_target = (None if target_points is None
+                              else _Target(target_points))
 
-    def _target(self, provided):
-        target = self._fixed_target
-        if target is None:
-            target = provided
-        if target is None:
+    def _target(self, provided) -> "_Target":
+        if self._fixed_target is not None:
+            return self._fixed_target
+        if provided is None:
             raise SimulationError("psi_pf needs the target pattern F")
-        return target
+        return _Target(provided)
 
     def __call__(self, observation: Observation) -> np.ndarray:
         target = self._target(observation.target)
@@ -74,18 +68,16 @@ class _PatternFormation:
                                 round_view)
 
         view = round_view(config)
-        target_arr = np.asarray(target, dtype=float)
-        target_key = (target_arr.shape, target_arr.tobytes())
-        if cached_invariant(view, ("is_similar", target_key),
-                            lambda: bool(config.is_similar_to(target))):
+        if cached_invariant(view, ("is_similar", target.key),
+                            lambda: config.is_similar_to(target.config)):
             return observation.own_position()
         if not cached_invariant(view, ("sym_terminal",),
                                 lambda: bool(is_sym_terminal(config))):
             return psi_sym(observation)
         destinations = cached_equivariant_points(
-            view, ("psi_pf", target_key),
+            view, ("psi_pf", target.key),
             lambda: match_configuration_to_pattern(
-                config, embed_target(config, target)))
+                config, embed_target(config, target.rows)))
         return destinations[observation.self_index]
 
     def compute_batch(self, batch) -> np.ndarray:
@@ -96,19 +88,34 @@ class _PatternFormation:
                                 round_view)
 
         view = round_view(config)
-        target_arr = np.asarray(target, dtype=float)
-        target_key = (target_arr.shape, target_arr.tobytes())
-        if cached_invariant(view, ("is_similar", target_key),
-                            lambda: bool(config.is_similar_to(target))):
+        if cached_invariant(view, ("is_similar", target.key),
+                            lambda: config.is_similar_to(target.config)):
             return batch.own_rows()
         if not cached_invariant(view, ("sym_terminal",),
                                 lambda: bool(is_sym_terminal(config))):
             return psi_sym.compute_batch(batch)
         destinations = cached_equivariant_points(
-            view, ("psi_pf", target_key),
+            view, ("psi_pf", target.key),
             lambda: match_configuration_to_pattern(
-                config, embed_target(config, target)))
+                config, embed_target(config, target.rows)))
         return batch.to_local(destinations)
+
+
+class _Target:
+    """``F`` as ``ψ_PF`` reads it: the rows, their round-cache key, and
+    the :class:`Configuration` the stop test compares against (built
+    once, on first use)."""
+
+    def __init__(self, points) -> None:
+        rows = np.asarray([np.asarray(p, dtype=float) for p in points],
+                          dtype=float)
+        rows.setflags(write=False)
+        self.rows = rows
+        self.key = (rows.shape, rows.tobytes())
+
+    @cached_property
+    def config(self) -> Configuration:
+        return Configuration(self.rows)
 
 
 def make_pattern_formation_algorithm(

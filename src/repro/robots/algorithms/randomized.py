@@ -48,7 +48,7 @@ def make_randomized_formation_algorithm(
     regular octagon — with probability 1.
     """
     deterministic = make_pattern_formation_algorithm(target_points)
-    target = [np.asarray(p, dtype=float) for p in target_points]
+    target = Configuration(target_points)
 
     def randomized(observation: Observation) -> np.ndarray:
         config = Configuration(observation.points)

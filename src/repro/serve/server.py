@@ -161,7 +161,10 @@ class QueryServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (asyncio.CancelledError, ConnectionResetError,
+                    BrokenPipeError):
+                # A teardown cancel can land while the close is still
+                # pending: it too ends the connection quietly.
                 pass
 
     async def _route(self, request: HttpRequest,

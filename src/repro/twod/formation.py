@@ -33,7 +33,7 @@ from repro.twod.symmetricity import (
 )
 
 __all__ = ["is_formable_2d", "make_formation_algorithm_2d",
-           "are_similar_2d"]
+           "is_similar_2d"]
 
 
 def is_formable_2d(initial, target) -> bool:
@@ -45,7 +45,7 @@ def is_formable_2d(initial, target) -> bool:
     return symmetricity_2d(f) % symmetricity_2d(p) == 0
 
 
-def are_similar_2d(first, second, slack: float | None = None) -> bool:
+def is_similar_2d(first, second, slack: float | None = None) -> bool:
     """Similarity in the plane (rotation + scale + translation only;
     reflections are excluded, as in the 3D model's chirality)."""
     if slack is None:
@@ -98,7 +98,7 @@ def make_formation_algorithm_2d(
     def psi_2d(observation: Observation2D) -> np.ndarray:
         points = [np.asarray(p, dtype=float) for p in observation.points]
         own = points[observation.self_index]
-        if are_similar_2d(points, target):
+        if is_similar_2d(points, target):
             return own
         center = center_2d(points)
         scale = max(float(np.linalg.norm(p - center)) for p in points)

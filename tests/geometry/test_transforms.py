@@ -1,11 +1,12 @@
-"""Tests for similarity transforms and pattern similarity."""
+"""Tests for similarity transforms and pattern similarity ``P ≃ F``."""
 
 import numpy as np
 import pytest
 
+from repro.core.configuration import Configuration
 from repro.errors import GeometryError
 from repro.geometry.rotations import rotation_about_axis
-from repro.geometry.transforms import Similarity, are_similar
+from repro.geometry.transforms import Similarity
 from tests.conftest import generic_cloud
 
 
@@ -43,63 +44,69 @@ class TestSimilarity:
             Similarity(rotation=np.diag([1.0, 1.0, -1.0]))
 
 
+def similar(first, second) -> bool:
+    return Configuration(first).is_similar_to(second)
+
+
 class TestAreSimilar:
+    """``P ≃ F`` as ``Configuration.is_similar_to`` decides it."""
+
     def test_identical(self, cube):
-        assert are_similar(cube, cube)
+        assert similar(cube, cube)
 
     def test_under_random_similarity(self, rng, cube):
         sim = Similarity.random(rng)
-        assert are_similar(cube, sim.apply_all(cube))
+        assert similar(cube, sim.apply_all(cube))
 
     def test_generic_cloud_under_similarity(self, rng):
         cloud = generic_cloud(9, seed=3)
         sim = Similarity.random(rng)
-        assert are_similar(cloud, sim.apply_all(cloud))
+        assert similar(cloud, sim.apply_all(cloud))
 
     def test_different_patterns(self, cube, octagon):
-        assert not are_similar(cube, octagon)
+        assert not similar(cube, octagon)
 
     def test_mirror_image_is_not_similar(self):
         # Orientation-preserving similarity only: a chiral set is not
         # similar to its mirror image.
         cloud = generic_cloud(7, seed=5)
         mirrored = [np.array([p[0], p[1], -p[2]]) for p in cloud]
-        assert not are_similar(cloud, mirrored)
+        assert not similar(cloud, mirrored)
 
     def test_achiral_set_is_similar_to_its_mirror(self, cube):
         mirrored = [np.array([p[0], p[1], -p[2]]) for p in cube]
-        assert are_similar(cube, mirrored)
+        assert similar(cube, mirrored)
 
     def test_different_sizes(self, cube):
-        assert not are_similar(cube, cube[:-1])
+        assert not similar(cube, cube[:-1])
 
     def test_multiset_multiplicities_matter(self):
         ex = np.array([1.0, 0, 0])
         a = [np.zeros(3), np.zeros(3), np.zeros(3), ex]
         b = [np.zeros(3), np.zeros(3), ex, ex]
-        assert not are_similar(a, b)
+        assert not similar(a, b)
 
     def test_degenerate_all_same_point(self):
         a = [np.array([1.0, 2.0, 3.0])] * 4
         b = [np.array([-5.0, 0.0, 0.0])] * 4
-        assert are_similar(a, b)
+        assert similar(a, b)
 
     def test_degenerate_vs_nondegenerate(self):
         a = [np.zeros(3)] * 3
         b = [np.zeros(3), np.zeros(3), np.array([1.0, 0, 0])]
-        assert not are_similar(a, b)
+        assert not similar(a, b)
 
     def test_collinear_sets(self):
         a = [np.array([0, 0, z], dtype=float) for z in (0, 1, 3)]
         b = [np.array([z, z, 0], dtype=float) for z in (0, 2, 6)]
-        assert are_similar(a, b)
+        assert similar(a, b)
 
     def test_collinear_mismatch(self):
         a = [np.array([0, 0, z], dtype=float) for z in (0, 1, 3)]
         b = [np.array([0, 0, z], dtype=float) for z in (0, 1, 4)]
-        assert not are_similar(a, b)
+        assert not similar(a, b)
 
     def test_near_miss_rejected(self, cube):
         perturbed = [p + np.array([0.01, 0, 0]) if i == 0 else p
                      for i, p in enumerate(cube)]
-        assert not are_similar(cube, perturbed)
+        assert not similar(cube, perturbed)

@@ -10,7 +10,8 @@ from repro.geometry.rotations import (
     rotation_angle,
     rotation_axis,
 )
-from repro.geometry.transforms import Similarity, are_similar
+from repro.core.configuration import Configuration
+from repro.geometry.transforms import Similarity
 from repro.geometry.vectors import normalize, orthonormal_basis_for
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0,
@@ -119,12 +120,13 @@ class TestSimilarityProperties:
     def test_similar_to_own_image(self, cloud, seed):
         rng = np.random.default_rng(seed)
         sim = Similarity.random(rng)
-        assert are_similar(cloud, [sim.apply(p) for p in cloud])
+        assert Configuration(cloud).is_similar_to(
+            [sim.apply(p) for p in cloud])
 
     @settings(max_examples=40, deadline=None)
     @given(cloud=point_clouds(min_size=3))
     def test_reflexive(self, cloud):
-        assert are_similar(cloud, list(cloud))
+        assert Configuration(cloud).is_similar_to(list(cloud))
 
     @settings(max_examples=30, deadline=None)
     @given(cloud=point_clouds(min_size=4), seed=seeds)
@@ -132,4 +134,5 @@ class TestSimilarityProperties:
         rng = np.random.default_rng(seed)
         sim = Similarity.random(rng)
         image = [sim.apply(p) for p in cloud]
-        assert are_similar(cloud, image) == are_similar(image, cloud)
+        assert Configuration(cloud).is_similar_to(image) == \
+            Configuration(image).is_similar_to(cloud)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.configuration import Configuration
 from repro.errors import EmbeddingError
 from repro.geometry.rotations import random_rotation
-from repro.geometry.transforms import are_similar
 from repro.patterns import polyhedra
 from repro.patterns.library import named_pattern
 from repro.robots.adversary import random_frames
@@ -28,7 +27,7 @@ class TestBasicProperties:
     def test_embedded_is_similar_to_target(self, octagon):
         config = terminal_config(named_pattern("cube"))
         embedded = embed_target(config, octagon)
-        assert are_similar(embedded, octagon)
+        assert Configuration(embedded).is_similar_to(octagon)
 
     def test_enclosing_balls_agree(self, octagon):
         from repro.geometry.balls import smallest_enclosing_ball
@@ -106,7 +105,7 @@ class TestPolygonSpecialCases:
     def test_polygon_to_itself(self, octagon):
         config = Configuration(octagon)
         embedded = embed_target(config, list(reversed(octagon)))
-        assert are_similar(embedded, octagon)
+        assert Configuration(embedded).is_similar_to(octagon)
 
     def test_polygon_to_point(self, octagon):
         config = Configuration(octagon)
@@ -143,7 +142,7 @@ class TestGroupAlignment:
         config = Configuration(initial)
         target = named_pattern("cube") * 3
         embedded = embed_target(config, target)
-        assert are_similar(embedded, target)
+        assert Configuration(embedded).is_similar_to(target)
 
 
 class TestCanonicalPick:

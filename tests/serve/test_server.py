@@ -12,6 +12,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -24,7 +25,7 @@ from repro.api import (
 from repro.errors import ServiceError
 from repro.obs import metrics as _metrics
 from repro.serve.client import ServeClient
-from repro.serve.http import HttpRequest
+from repro.serve.http import MAX_BODY_BYTES, HttpRequest
 from repro.serve.protocol import (
     canonical_result_text,
     decode_result,
@@ -214,6 +215,83 @@ class TestMalformedInput:
         delta = _serve_delta(before, after)
         assert delta["serve.errors"] == 2
         assert delta["serve.completed"] == 1
+
+
+class TestLargeBodies:
+    """Point lists far above the decoder fuzz's n <= 64."""
+
+    def test_body_over_the_budget_is_413(self):
+        with _ServerThread(ServeConfig()) as st:
+            host, port = st.address
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            # The server answers from the headers alone: no body sent.
+            conn.putrequest("POST", "/v1/query")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.loads(response.read())
+            conn.close()
+        assert response.status == 413, body
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_tens_of_thousands_of_points_leave_the_server_healthy(self):
+        points = np.random.default_rng(3).normal(size=(30_000, 3))
+        wire = encode_query(SymmetricityQuery(points=points.tolist()))
+        body = json.dumps(wire).encode("utf-8")
+        assert len(body) < MAX_BODY_BYTES
+        with _ServerThread(ServeConfig()) as st:
+            host, port = st.address
+            conn = http.client.HTTPConnection(host, port, timeout=120)
+            conn.request("POST", "/v1/query", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            answer = json.loads(response.read())
+            conn.close()
+            with ServeClient(host, port) as client:
+                health = client.health()
+        assert response.status == 200, answer
+        assert health["status"] == "ok"
+
+
+class _StuckCloseWriter:
+    """A stream writer whose ``wait_closed`` never completes."""
+
+    def __init__(self):
+        self.waiting = asyncio.Event()
+
+    def write(self, data):
+        pass
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        self.waiting.set()
+        await asyncio.get_running_loop().create_future()
+
+
+class TestConnectionTeardown:
+    def test_cancel_while_closing_ends_the_connection_quietly(self):
+        # A cancelled connection task makes the stream protocol's
+        # done-callback log "Exception in callback ..." at teardown.
+        async def main():
+            reader = asyncio.StreamReader()
+            reader.feed_eof()
+            writer = _StuckCloseWriter()
+            task = asyncio.create_task(
+                QueryServer(ServeConfig())._on_connection(reader, writer))
+            await writer.waiting.wait()
+            task.cancel()
+            await asyncio.wait([task])
+            return task
+
+        task = asyncio.run(main())
+        assert not task.cancelled()
+        assert task.exception() is None
 
 
 class _GatedDispatcher:

@@ -13,7 +13,7 @@ from repro.twod import (
     random_frames_2d,
     symmetricity_2d,
 )
-from repro.twod.formation import are_similar_2d
+from repro.twod.formation import is_similar_2d
 from repro.twod.symmetricity import rotation_group_order_2d
 
 
@@ -85,15 +85,15 @@ class TestSimilarity2D:
         rot = np.array([[np.cos(angle), -np.sin(angle)],
                         [np.sin(angle), np.cos(angle)]])
         moved = [3.0 * (rot @ p) + np.array([1.0, -2.0]) for p in pts]
-        assert are_similar_2d(pts, moved)
+        assert is_similar_2d(pts, moved)
 
     def test_mirror_not_similar(self):
         pts = generic(6, seed=3)
         mirrored = [np.array([p[0], -p[1]]) for p in pts]
-        assert not are_similar_2d(pts, mirrored)
+        assert not is_similar_2d(pts, mirrored)
 
     def test_different_patterns(self):
-        assert not are_similar_2d(polygon(6), generic(6, seed=1))
+        assert not is_similar_2d(polygon(6), generic(6, seed=1))
 
 
 class TestFrames2D:
@@ -132,7 +132,7 @@ class TestFormation2D:
         scheduler = FsyncScheduler2D(algorithm, frames, target=target)
         result = scheduler.run(
             initial,
-            stop_condition=lambda pts: are_similar_2d(pts, target),
+            stop_condition=lambda pts: is_similar_2d(pts, target),
             max_rounds=30)
         assert result.reached
 
@@ -145,7 +145,7 @@ class TestFormation2D:
             scheduler = FsyncScheduler2D(algorithm, frames, target=target)
             result = scheduler.run(
                 initial,
-                stop_condition=lambda pts: are_similar_2d(pts, target),
+                stop_condition=lambda pts: is_similar_2d(pts, target),
                 max_rounds=30)
             assert result.reached
 
@@ -156,7 +156,7 @@ class TestFormation2D:
         scheduler = FsyncScheduler2D(algorithm, frames, target=target)
         result = scheduler.run(
             polygon(8, r=2.0, phase=0.3),
-            stop_condition=lambda pts: are_similar_2d(pts, target),
+            stop_condition=lambda pts: is_similar_2d(pts, target),
             max_rounds=5)
         assert result.reached
         assert result.rounds == 0
