@@ -73,9 +73,11 @@ bench-json:
 # Where does the paper's Compute go?  cProfile over one batched
 # psi_PF round from a generic swarm of 128 robots with random frames
 # into a regular 128-gon (the swarm benchmark's pf_ngon128 shape), top
-# 20 by cumulative time: detection, embedding, orbit ordering by local
-# views and the matching.  (Any repro.robots.model.Observation frames
-# in the hot path mean the batched engine fell back.)
+# 20 by cumulative time: symmetry detection (gamma(P), gamma(F) in the
+# embedding, gamma(F~) for the matching) leads, then the embedding and
+# the matching; local views cost one per orbit.  (Any
+# repro.robots.model.Observation frames in the hot path mean the
+# batched engine fell back.)
 profile:
 	$(PYTHON) benchmarks/profile_round.py --n 128 --top 20
 

@@ -13,11 +13,14 @@ functions by cumulative time.
     PYTHONPATH=src python benchmarks/profile_round.py --n 128 --top 20
     PYTHONPATH=src python benchmarks/profile_round.py --per-robot
 
-Reading it: the round's Compute is ψ_PF's — symmetry detection,
-embedding ``F̃``, orbit ordering by local views
-(``repro.core.local_views``) and the matching ``M(P, F̃)``.
-``--per-robot`` profiles the reference engine, which asks the round
-cache once per robot instead of once per round.
+Reading it: the round's Compute is ψ_PF's, and symmetry detection
+leads it: ``γ(P)``, ``γ(F)`` inside the embedding of ``F̃``, and the
+``γ(F̃)`` the matching ``M(P, F̃)`` reads to order F̃'s orbits (an L1
+hit on F's entry, certified by ``align_rotation``).  Local views
+(``repro.core.local_views``) come after: one per ``γ(F̃)``-orbit and
+one per radius-tied orbit of ``P``.  ``--per-robot`` profiles the
+reference engine, which asks the round cache once per robot instead
+of once per round.
 """
 
 from __future__ import annotations

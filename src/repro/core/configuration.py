@@ -69,8 +69,10 @@ class Configuration:
     def __init__(self, points, tol: Tolerance = DEFAULT_TOL) -> None:
         arr = coordinate_array(points)
         arr.setflags(write=False)
+        self._rows = arr
         self._points = list(arr)
         self._tol = tol
+        self._similar: tuple[bytes, bool] | None = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -182,9 +184,20 @@ class Configuration:
         rotation certified on the whole multiset); collinear ones
         compare heights along their lines; any two degenerate ones of
         equal size are similar.
+
+        The answer depends on the two point lists alone, so the last
+        one is remembered here, keyed by the other side's coordinates:
+        a formation's stop condition and ``ψ_PF``'s own stop test ask
+        it of the same round's configuration, one after the other.
         """
         if not isinstance(other, Configuration) or other.tol != self._tol:
             other = Configuration(list(other), self._tol)
+        key = other._rows.tobytes()
+        if self._similar is None or self._similar[0] != key:
+            self._similar = (key, self._supports_similar(other))
+        return self._similar[1]
+
+    def _supports_similar(self, other: "Configuration") -> bool:
         mine, theirs = self.support, other.support
         if mine.kind != theirs.kind:
             return False

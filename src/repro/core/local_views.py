@@ -6,7 +6,9 @@ whole configuration as seen from that robot: the innermost empty ball
 the earth's axis, and a meridian is fixed by a robot nearest to
 ``I(P)``.  Robots in the same orbit of ``γ(P)`` have equal views;
 robots in different orbits have different views (Property 2), which
-lets all robots agree on a total ordering of the orbits.
+lets all robots agree on a total ordering of the orbits.  So one view
+per orbit, its first robot's (:func:`orbit_views`), stands for the
+whole orbit.
 
 All view components are scale-invariant (amplitudes are normalized by
 ``rad(B(P))``), so a robot computes identical views from its own local
@@ -31,7 +33,7 @@ from repro.geometry.tolerance import (
 from repro.geometry.vectors import cross
 from repro.groups.group import RotationGroup
 
-__all__ = ["local_view", "ordered_orbits"]
+__all__ = ["local_view", "orbit_views", "ordered_orbits"]
 
 _DECIMALS = 6
 _SLACK = DEFAULT_TOL.geometric_slack(1.0)
@@ -76,8 +78,8 @@ def local_view(config: Configuration, index: int) -> tuple:
     other view (its axis is undefined; it is alone in its orbit).
 
     Views are memoized on the configuration object, next to the arrays
-    all of its views share: orbit ordering and the formation algorithms
-    ask for the same robot's view repeatedly.
+    all of its views share.  Orbit ordering asks through
+    :func:`orbit_views`, for one robot per orbit.
     """
     memo = getattr(config, "_view_memo", None)
     if memo is None:
@@ -218,17 +220,29 @@ def _smallest_rows(keys: np.ndarray) -> np.ndarray:
     return alive
 
 
-def ordered_orbits(config: Configuration, group: RotationGroup,
-                   orbits: list[list[int]] | None = None,
-                   center=None) -> list[list[int]]:
+def orbit_views(config: Configuration,
+                orbits: list[list[int]]) -> list[tuple]:
+    """The local view of each orbit: its first robot's view.
+
+    Every orbit is one of a group of rotations of ``P`` about ``b(P)``
+    (a subgroup of ``γ(P)``), and a rotation of ``P`` onto itself maps
+    each robot's view to its image's, so all members of an orbit have
+    equal views (Theorem 3.1).  One view stands for them all.
+    """
+    return [local_view(config, orbit[0]) for orbit in orbits]
+
+
+def ordered_orbits(config: Configuration,
+                   group: RotationGroup) -> list[list[int]]:
     """The agreed total ordering of the ``group``-orbits of ``P``.
 
-    Orbits are ordered primarily by their radius (distance from
-    ``b(P)``), which realizes Property 2 (the first orbit lies on
-    ``I(P)``, the last on ``B(P)``, and each next orbit lies on or
-    outside the previous orbit's ball); ties are broken by the minimum
-    local view of the orbit members, which differs across orbits by
-    Theorem 3.1.
+    ``group`` acts on ``P`` about ``b(P)``.  Orbits are ordered
+    primarily by their radius (distance from ``b(P)``), which realizes
+    Property 2 (the first orbit lies on ``I(P)``, the last on
+    ``B(P)``, and each next orbit lies on or outside the previous
+    orbit's ball); ties are broken by the orbits' local views
+    (:func:`orbit_views`, one per orbit), which differ across orbits
+    by Theorem 3.1.  An orbit with a radius of its own needs no view.
 
     When called with the configuration's own full rotation group (the
     only caller pattern on the hot path), both the orbit partition and
@@ -243,27 +257,23 @@ def ordered_orbits(config: Configuration, group: RotationGroup,
         multisets, which the paper excludes from this agreement).
     """
     report = config.__dict__.get("symmetry")
-    if (orbits is None and center is None and report is not None
-            and getattr(report, "group", None) is group):
+    if getattr(report, "group", None) is group:
         from repro.perf import cached_invariant, round_view
 
         cached = cached_invariant(
             round_view(config), ("ordered_orbits",),
             lambda: tuple(tuple(o) for o in
-                          _ordered_orbits_impl(config, group, None, None)))
+                          _ordered_orbits_impl(config, group)))
         return [list(orbit) for orbit in cached]
-    return _ordered_orbits_impl(config, group, orbits, center)
+    return _ordered_orbits_impl(config, group)
 
 
-def _ordered_orbits_impl(config: Configuration, group: RotationGroup,
-                         orbits: list[list[int]] | None,
-                         center) -> list[list[int]]:
+def _ordered_orbits_impl(config: Configuration,
+                         group: RotationGroup) -> list[list[int]]:
     from repro.core.decomposition import orbit_decomposition
 
-    if orbits is None:
-        orbits = orbit_decomposition(config, group, center)
-    c = np.asarray(center if center is not None else config.center,
-                   dtype=float)
+    orbits = orbit_decomposition(config, group)
+    c = config.center
     scale = max(config.radius, 1e-300)
 
     # Sort by radius first; local views (quadratic to compute) are only
@@ -279,9 +289,7 @@ def _ordered_orbits_impl(config: Configuration, group: RotationGroup,
         if len(tied) == 1:
             result.extend(tied)
             continue
-        keyed = sorted(
-            (min(local_view(config, j) for j in orbit), orbit)
-            for orbit in tied)
+        keyed = sorted(zip(orbit_views(config, tied), tied))
         for (view_a, _), (view_b, _) in zip(keyed, keyed[1:]):
             if view_a == view_b:
                 raise ConfigurationError(

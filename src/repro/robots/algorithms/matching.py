@@ -21,10 +21,13 @@ the frozen oracle in ``tests/properties/round_oracle.py``).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from repro.core.configuration import Configuration
-from repro.core.local_views import local_view, ordered_orbits
+from repro.core.decomposition import orbit_decomposition
+from repro.core.local_views import orbit_views, ordered_orbits
 from repro.errors import MatchingError
 from repro.geometry.neighbors import neighbor_index
 from repro.geometry.tolerance import DEFAULT_TOL, canonical_round
@@ -189,33 +192,27 @@ def _target_position_orbits(config, group: RotationGroup, positions,
 def _order_target_orbits(config, entries):
     """Order F̃'s orbits: radius, then intra-F̃ local views, then the
     distance profile to P (breaking ties between orbits that are
-    symmetric inside F̃ but not relative to P)."""
-    f_config = Configuration([p for e in entries for p in e["positions"]])
-    views: dict[int, tuple] = {}
-    flat = 0
-    for ei, e in enumerate(entries):
-        best = None
-        for _ in e["positions"]:
-            v = local_view(f_config, flat)
-            best = v if best is None or v < best else best
-            flat += 1
-        views[ei] = best
+    symmetric inside F̃ but not relative to P).
 
+    Only entries whose radius another entry shares ever compare their
+    views, so only they get one (:func:`_tied_entry_views`).
+    """
     center = config.center
     scale = max(config.radius, 1e-300)
     points = np.asarray(config.points, dtype=float)
+    radii = [float(canonical_round(
+        np.linalg.norm(e["positions"][0] - center) / scale, 6))
+        for e in entries]
+    views = _tied_entry_views(entries, radii)
 
     def key(ei):
-        e = entries[ei]
-        pos = np.asarray(e["positions"], dtype=float)
-        radius = float(canonical_round(
-            np.linalg.norm(pos[0] - center) / scale, 6))
+        pos = np.asarray(entries[ei]["positions"], dtype=float)
         dists = canonical_round(np.linalg.norm(
             pos[:, None, :] - points[None, :, :], axis=2) / scale, 6)
         dists = np.atleast_2d(dists)
         dists.sort(axis=1)
         profile = sorted(map(tuple, dists.tolist()))
-        return (radius, views[ei], tuple(profile))
+        return (radii[ei], views.get(ei, ()), tuple(profile))
 
     keys = [key(ei) for ei in range(len(entries))]
     order = sorted(range(len(entries)), key=keys.__getitem__)
@@ -241,6 +238,36 @@ def _order_target_orbits(config, entries):
             resolved.extend(ei for _, ei in chiral)
         i = j + 1
     return [entries[ei] for ei in resolved]
+
+
+def _tied_entry_views(entries, radii) -> dict[int, tuple]:
+    """Intra-F̃ local view of every entry whose radius is shared.
+
+    An entry's view is the smallest view of its positions inside F̃.
+    Positions in one ``γ(F̃)``-orbit have equal views (Theorem 3.1), so
+    each ``γ(F̃)``-orbit that holds such an entry's position gets one
+    view (:func:`orbit_views`); an entry is a ``G``-orbit, so it lies
+    in one ``γ(F̃)``-orbit when ``G ⊆ γ(F̃)``.  A collinear or
+    degenerate F̃ has no finite ``γ(F̃)``: every position is then its
+    own orbit.
+    """
+    shared = {r for r, count in Counter(radii).items() if count > 1}
+    if not shared:
+        return {}
+    f_config = Configuration([p for e in entries for p in e["positions"]])
+    group = f_config.rotation_group
+    f_orbits = ([[i] for i in range(f_config.n)] if group is None
+                else orbit_decomposition(f_config, group))
+    orbit_of = np.empty(f_config.n, dtype=int)
+    for k, orbit in enumerate(f_orbits):
+        orbit_of[orbit] = k
+    spans = np.cumsum([0] + [len(e["positions"]) for e in entries])
+    wanted = {ei: set(orbit_of[spans[ei]:spans[ei + 1]].tolist())
+              for ei, r in enumerate(radii) if r in shared}
+    needed = sorted(set().union(*wanted.values()))
+    view_of = dict(zip(needed,
+                       orbit_views(f_config, [f_orbits[k] for k in needed])))
+    return {ei: min(view_of[k] for k in ks) for ei, ks in wanted.items()}
 
 
 def _orbit_chiral_key(config, positions) -> tuple:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.local_views import local_view, ordered_orbits
-from repro.core.decomposition import orbit_decomposition
 from repro.geometry.transforms import Similarity
 from repro.patterns.library import compose_shells, named_pattern
 from tests.conftest import generic_cloud
@@ -86,12 +85,6 @@ class TestOrderedOrbits:
         moved = Configuration(sim.apply_all(pts))
         orbits_b = ordered_orbits(moved, moved.rotation_group)
         assert orbits_a == orbits_b  # indices preserved by apply_all
-
-    def test_accepts_precomputed_orbits(self, cube):
-        config = Configuration(cube)
-        orbits = orbit_decomposition(config, config.rotation_group)
-        assert ordered_orbits(config, config.rotation_group,
-                              orbits=orbits) == orbits
 
     def test_same_radius_orbits_separated_by_views(self):
         # Two squares at the same distance from the center (heights

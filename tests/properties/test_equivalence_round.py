@@ -12,6 +12,11 @@ is a meridian candidate, and a 100-robot T swarm with free orbits of
 one radius) pin the local-view kernel at the swarm workload's sizes,
 on a fixed sample of robots.
 
+Orbit ordering computes one view per orbit, its first robot's.  That
+rests on Theorem 3.1: the members of a ``γ(P)``-orbit have equal
+views.  The premise is checked on every zoo configuration against the
+oracle's views, and on the swarm-scale cases against the kernel's.
+
 The matching zoo deliberately includes the two delicate regimes named
 by the paper: multiset targets with ``k·j`` points on a ``k``-fold
 axis (Definition 6), and half-step rotated target orbits whose
@@ -29,7 +34,9 @@ from round_oracle import (
 )
 
 from repro import perf
+import repro.core.local_views as local_views
 from repro.core.configuration import Configuration
+from repro.core.decomposition import orbit_decomposition
 from repro.core.local_views import local_view, ordered_orbits
 from repro.errors import ReproError
 from repro.geometry.rotations import rotation_about_axis
@@ -37,6 +44,7 @@ from repro.groups import catalog
 from repro.patterns import polyhedra
 from repro.patterns.library import named_pattern, pattern_names
 from repro.robots.adversary import random_frames
+from repro.robots.algorithms.embedding import embed_target
 from repro.robots.algorithms.go_to_center import go_to_center_algorithm
 from repro.robots.algorithms.matching import match_configuration_to_pattern
 from repro.robots.algorithms.pattern_formation import (
@@ -105,16 +113,26 @@ def _view_zoo(seed: int):
     return _posed(inner + outer, rng)[0]
 
 
+def _assert_orbits_share_views(config, group, views):
+    """Every member of every ``group``-orbit has its first member's
+    view (Theorem 3.1), the premise of one view per orbit."""
+    for orbit in orbit_decomposition(config, group):
+        for j in orbit[1:]:
+            assert views[j] == views[orbit[0]], (orbit[0], j)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("seed", range(72))
 def test_local_views_and_orbit_order_match_oracle(seed, enabled):
     perf.set_enabled(enabled)
     points = _view_zoo(seed)
     config = Configuration(points)
+    views = [oracle_local_view(config, i) for i in range(config.n)]
     for i in range(config.n):
-        assert local_view(config, i) == oracle_local_view(config, i)
+        assert local_view(config, i) == views[i]
     report = config.symmetry
     if report.kind == "finite":
+        _assert_orbits_share_views(config, report.group, views)
         try:
             expected = oracle_ordered_orbits(config, report.group)
         except ReproError:
@@ -162,6 +180,80 @@ def test_swarm_scale_views_and_orbit_order_match_oracle(name):
     assert ordered_orbits(config, report.group) == expected
     for i in sample:
         assert local_view(config, i) == oracle_local_view(config, i)
+    views = [local_view(config, i) for i in range(config.n)]
+    _assert_orbits_share_views(config, report.group, views)
+
+
+def _i_swarm(rng):
+    """An icosahedron inside two free I-orbits of one radius (n = 132)."""
+    group = catalog.icosahedral_group()
+    points = [np.asarray(p, dtype=float) for p in named_pattern("icosahedron")]
+    for _ in range(2):
+        direction = rng.normal(size=3)
+        points.extend(group.orbit(2.0 * direction / np.linalg.norm(direction)))
+    return points
+
+
+def _min_over_members_order(config, group):
+    """The frozen oracle's rule on the kernel's views: radius ties broken
+    by the smallest view over all of an orbit's members."""
+    scale = config.radius
+    orbits = orbit_decomposition(config, group)
+    return sorted(orbits, key=lambda orbit: (
+        round(float(np.linalg.norm(config.points[orbit[0]] - config.center))
+              / scale, 6),
+        min(local_view(config, j) for j in orbit)))
+
+
+def test_tied_free_orbits_of_an_i_swarm_order_as_min_over_members():
+    """Two free I-orbits of one radius, which only views can order.  The
+    oracle spends seconds on this input, so the kernel's views stand in
+    for it; they are pinned to the oracle on the cases above."""
+    points = _posed(_i_swarm(np.random.default_rng(132)),
+                    np.random.default_rng(7))[0]
+    config = Configuration(points)
+    report = config.symmetry
+    assert (config.n, str(report.spec)) == (132, "I")
+    orbits = ordered_orbits(config, report.group)
+    assert [len(orbit) for orbit in orbits] == [12, 60, 60]
+    assert orbits == _min_over_members_order(config, report.group)
+    views = [local_view(config, i) for i in range(config.n)]
+    _assert_orbits_share_views(config, report.group, views)
+
+
+@pytest.fixture
+def view_count(monkeypatch):
+    """The number of local views computed (memo misses) so far."""
+    count = [0]
+    compute = local_views._compute_local_view
+
+    def counted(memo, index):
+        count[0] += 1
+        return compute(memo, index)
+
+    monkeypatch.setattr(local_views, "_compute_local_view", counted)
+    return count
+
+
+def test_ordering_computes_one_view_per_tied_orbit(view_count):
+    """Four free T-orbits of one radius cost four views, not 48."""
+    points = _posed(_t_swarm(np.random.default_rng(128)),
+                    np.random.default_rng(5))[0]
+    config = Configuration(points)
+    ordered_orbits(config, config.rotation_group)
+    assert view_count[0] == 4
+
+
+def test_target_ordering_computes_one_view_per_target_orbit(view_count):
+    """A generic swarm's targets in a regular 128-gon: 128 entries of
+    one radius, one ``γ(F̃)``-orbit, one view."""
+    rng = np.random.default_rng(128)
+    config = Configuration(list(rng.normal(size=(128, 3))))
+    embedded = embed_target(config, polyhedra.regular_polygon_pattern(128))
+    ordered_orbits(config, config.rotation_group)
+    before = view_count[0]
+    match_configuration_to_pattern(config, embedded)
+    assert view_count[0] - before == 1
 
 
 @pytest.mark.parametrize("points", [
@@ -279,6 +371,27 @@ def test_matching_kernels_match_oracle(seed, enabled):
             match_configuration_to_pattern(config, targets)
         return
     actual = match_configuration_to_pattern(config, targets)
+    scale = max(config.radius, 1.0)
+    for a, b in zip(actual, expected):
+        assert float(np.linalg.norm(a - b)) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("shape", ["ngon", "prism"])
+@pytest.mark.parametrize("n", [8, 14, 20, 32])
+def test_generic_swarm_matching_into_a_larger_group_matches_oracle(n, shape):
+    """A generic swarm (``G = C_1``) embedded into a regular n-gon or a
+    prism, whose ``γ(F̃)`` is dihedral: F̃'s entries of one radius are
+    then ordered with one view per ``γ(F̃)``-orbit, and the oracle takes
+    the smallest view over all of them."""
+    rng = np.random.default_rng(n)
+    points = list(rng.normal(size=(n, 3)))
+    target = (polyhedra.regular_polygon_pattern(n) if shape == "ngon"
+              else polyhedra.prism(n // 2))
+    config = Configuration(points)
+    assert str(config.symmetry.spec) == "C1"
+    embedded = embed_target(config, target)
+    actual = match_configuration_to_pattern(config, embedded)
+    expected = oracle_match(Configuration(points), embedded)
     scale = max(config.radius, 1.0)
     for a, b in zip(actual, expected):
         assert float(np.linalg.norm(a - b)) <= 1e-7 * scale

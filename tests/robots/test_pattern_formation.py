@@ -1,5 +1,7 @@
 """End-to-end tests for ψ_PF (Algorithm 6.1, Theorem 6.1)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,29 @@ class TestVariedInstances:
         after = scheduler.step(result.final)
         for a, b in zip(after, result.final.points):
             assert np.allclose(a, b, atol=1e-9)
+
+
+class TestStopTest:
+    def test_p_similar_to_f_evaluated_once_per_round(self, cube, octagon,
+                                                     monkeypatch):
+        """The runner's stop condition and ψ_PF's own stop test ask
+        ``P(t) ≃ F`` of the same round's configuration; the second ask
+        is answered from the first, so ``congruent_rotation`` sees each
+        (P(t), F) pair once."""
+        import repro.core.configuration as configuration
+
+        pairs = Counter()
+        congruent_rotation = configuration.congruent_rotation
+
+        def counted(mine, theirs):
+            pairs[mine.rel.tobytes(), theirs.rel.tobytes()] += 1
+            return congruent_rotation(mine, theirs)
+
+        monkeypatch.setattr(configuration, "congruent_rotation", counted)
+        result = run_formation(cube, octagon, seed=0)
+        assert result.reached
+        assert sum(pairs.values()) <= len(result.positions)
+        assert max(pairs.values()) == 1
 
 
 class TestSpecialTargets:
